@@ -54,7 +54,7 @@ void ScatterApp::map_task(std::size_t task, std::size_t thread_id) {
   assert(task < tasks_.size() && thread_id < num_mappers_);
   const RoundTask& t = tasks_[task];
   const std::uint64_t rb = options_.record_bytes;
-  auto& stripe = stripes_[thread_id];
+  auto& stripe = stripes_[thread_id].value;
   stripe.reserve(stripe.size() + t.num_records);
   for (std::uint64_t r = 0; r < t.num_records; ++r) {
     const std::uint64_t src = t.stage_at + r * rb;
@@ -70,12 +70,12 @@ Status ScatterApp::reduce(ThreadPool&, std::size_t) {
   // Routing entries carry a globally unique order key; reduce just gathers
   // the per-thread stripes.
   std::size_t total = 0;
-  for (const auto& s : stripes_) total += s.size();
+  for (const auto& s : stripes_) total += s.value.size();
   routed_.clear();
   routed_.reserve(total);
   for (auto& s : stripes_) {
-    routed_.insert(routed_.end(), s.begin(), s.end());
-    s.clear();
+    routed_.insert(routed_.end(), s.value.begin(), s.value.end());
+    s.value.clear();
   }
   return Status::Ok();
 }

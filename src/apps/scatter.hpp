@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cache_line.hpp"
 #include "core/application.hpp"
 
 namespace supmr::apps {
@@ -61,7 +62,8 @@ class ScatterApp final : public core::Application {
   ScatterOptions options_;
   std::size_t num_mappers_ = 0;
   std::vector<RoundTask> tasks_;
-  std::vector<std::vector<Routed>> stripes_;  // per-thread routing entries
+  // Per-thread routing entries; each vector header on its own cache line.
+  std::vector<CacheAligned<std::vector<Routed>>> stripes_;
   std::vector<char> staged_;                  // record bytes, arrival order
   std::vector<Routed> routed_;
   std::vector<char> output_;

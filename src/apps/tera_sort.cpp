@@ -4,13 +4,35 @@
 #include <atomic>
 #include <cassert>
 #include <cstring>
+#include <memory>
 
+#include "merge/key_prefix.hpp"
 #include "merge/pairwise.hpp"
 #include "merge/partitioned.hpp"
 #include "merge/pway.hpp"
 #include "merge/sample_sort.hpp"
 
 namespace supmr::apps {
+
+namespace {
+
+// Copies the `n` records that `order` points at into `out`, in order. `out`
+// does not zero-fill on resize, so the gather's workers first-touch its
+// pages instead of one serial pass.
+Status gather(ThreadPool& pool, const merge::KeyPrefixEntry* order,
+              std::uint64_t n, std::uint64_t record_bytes, UninitBytes& out) {
+  out.resize(n * record_bytes);
+  if (!parallel_for(pool, n, [&](std::size_t first, std::size_t last,
+                                 std::size_t) {
+        for (std::size_t i = first; i < last; ++i)
+          std::memcpy(out.data() + i * record_bytes, order[i].rec,
+                      record_bytes);
+      }))
+    return Status::Internal("merge wave dropped: thread pool shut down");
+  return Status::Ok();
+}
+
+}  // namespace
 
 void TeraSortApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
@@ -144,7 +166,7 @@ Status TeraSortApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
 Status TeraSortApp::merge_partitioned(ThreadPool& pool,
                                       merge::MergeStats* stats) {
   // The shuffle already happened at map time: partition p's stripes hold
-  // exactly p's key range. Merge = one pointer-sort + loser-tree merge per
+  // exactly p's key range. Merge = one entry-sort + loser-tree merge per
   // partition (merge/partitioned.hpp waves), then one materialization pass —
   // no global round, no scratch copy-back.
   const std::uint64_t rb = options_.record_bytes;
@@ -152,41 +174,32 @@ Status TeraSortApp::merge_partitioned(ThreadPool& pool,
   const std::size_t P = pcontainer_.partitions();
   const std::uint64_t n = pcontainer_.total_records();
 
-  auto cmp = [kb](const char* a, const char* b) {
-    return std::memcmp(a, b, kb) < 0;
-  };
-
-  // One pointer run per non-empty (partition, thread) stripe. The pointer
-  // vectors outlive the merge; partitioned_merge sorts each run in place.
-  std::vector<std::vector<std::vector<const char*>>> ptrs(P);
-  std::vector<std::vector<std::span<const char*>>> partitions(P);
+  // One entry run per non-empty (partition, thread) stripe, back to back in
+  // one array; partitioned_merge sorts each run in place.
+  auto entries = std::make_unique_for_overwrite<merge::KeyPrefixEntry[]>(n);
+  std::vector<std::vector<std::span<merge::KeyPrefixEntry>>> partitions(P);
+  std::vector<std::function<void(std::size_t)>> fill_tasks;
+  std::uint64_t offset = 0;
   for (std::size_t p = 0; p < P; ++p) {
     for (std::size_t t = 0; t < pcontainer_.threads(); ++t) {
       const std::span<const char> s = pcontainer_.stripe(p, t);
       if (s.empty()) continue;
-      std::vector<const char*> run;
-      run.reserve(s.size() / rb);
-      for (std::size_t off = 0; off + rb <= s.size(); off += rb)
-        run.push_back(s.data() + off);
-      ptrs[p].push_back(std::move(run));
+      const std::span<merge::KeyPrefixEntry> run(entries.get() + offset,
+                                                 s.size() / rb);
+      offset += run.size();
+      partitions[p].push_back(run);
+      fill_tasks.push_back([s, run, rb, kb](std::size_t) {
+        merge::fill_entries(s.data(), run.size(), rb, kb, run.data());
+      });
     }
-    for (auto& run : ptrs[p])
-      partitions[p].push_back(std::span<const char*>(run.data(), run.size()));
   }
-
-  std::vector<const char*> order(n);
-  merge::MergeStats local =
-      merge::partitioned_merge(pool, std::move(partitions), order.data(), cmp);
-
-  sorted_.resize(n * rb);
-  if (!parallel_for(pool, n, [&](std::size_t first, std::size_t last,
-                                 std::size_t) {
-        for (std::size_t i = first; i < last; ++i) {
-          std::memcpy(sorted_.data() + i * rb, order[i], rb);
-        }
-      }))
+  if (!pool.run_wave(fill_tasks))
     return Status::Internal("merge wave dropped: thread pool shut down");
 
+  auto order = std::make_unique_for_overwrite<merge::KeyPrefixEntry[]>(n);
+  merge::MergeStats local = merge::partitioned_merge(
+      pool, std::move(partitions), order.get(), merge::KeyPrefixLess{kb});
+  SUPMR_RETURN_IF_ERROR(gather(pool, order.get(), n, rb, sorted_));
   if (stats != nullptr) *stats = std::move(local);
   return Status::Ok();
 }
@@ -199,44 +212,32 @@ Status TeraSortApp::merge(ThreadPool& pool, const core::MergePlan& plan,
   const std::uint64_t rb = options_.record_bytes;
   const std::uint32_t kb = options_.key_bytes;
   const char* data = container_.data();
+  const merge::KeyPrefixLess cmp{kb};
 
-  auto cmp = [data, rb, kb](std::uint64_t a, std::uint64_t b) {
-    return std::memcmp(data + a * rb, data + b * rb, kb) < 0;
-  };
-
-  // Sort an index array (8-byte moves instead of 100-byte record moves).
-  std::vector<std::uint64_t> index(n);
-  for (std::uint64_t i = 0; i < n; ++i) index[i] = i;
+  // Sort 16-byte key-prefix entries instead of the 100-byte records.
+  auto entries = std::make_unique_for_overwrite<merge::KeyPrefixEntry[]>(n);
+  if (!parallel_for(pool, n, [&](std::size_t first, std::size_t last,
+                                 std::size_t) {
+        merge::fill_entries(data + first * rb, last - first, rb, kb,
+                            entries.get() + first);
+      }))
+    return Status::Internal("merge wave dropped: thread pool shut down");
+  const std::span<merge::KeyPrefixEntry> span(entries.get(), n);
 
   merge::MergeStats local;
   const std::size_t num_runs = std::max<std::size_t>(2, pool.size() * 2);
   if (plan.mode == core::MergeMode::kPartitioned) {
-    // Flat container but a partitioned plan: bucket the index array by
-    // sampled splitters at merge time (merge-time fallback — map-time
-    // sharding needs options.partitions > 0).
-    local = merge::partitioned_sort(
-        pool, std::span<std::uint64_t>(index.data(), index.size()), cmp,
-        plan.partitions);
+    // Flat container but a partitioned plan: bucket the entries by sampled
+    // splitters at merge time (merge-time fallback — map-time sharding
+    // needs options.partitions > 0).
+    local = merge::partitioned_sort(pool, span, cmp, plan.partitions);
   } else if (plan.mode == core::MergeMode::kPWay) {
-    local = merge::parallel_sample_sort(
-        pool, std::span<std::uint64_t>(index.data(), index.size()), cmp,
-        num_runs);
+    local = merge::parallel_sample_sort(pool, span, cmp, num_runs);
   } else {
-    local = merge::pairwise_merge_sort(
-        pool, std::span<std::uint64_t>(index.data(), index.size()), cmp,
-        num_runs);
+    local = merge::pairwise_merge_sort(pool, span, cmp, num_runs);
   }
 
-  // Materialize the permuted records in parallel.
-  sorted_.resize(n * rb);
-  if (!parallel_for(pool, n, [&](std::size_t first, std::size_t last,
-                                 std::size_t) {
-        for (std::size_t i = first; i < last; ++i) {
-          std::memcpy(sorted_.data() + i * rb, data + index[i] * rb, rb);
-        }
-      }))
-    return Status::Internal("merge wave dropped: thread pool shut down");
-
+  SUPMR_RETURN_IF_ERROR(gather(pool, entries.get(), n, rb, sorted_));
   if (stats != nullptr) *stats = std::move(local);
   return Status::Ok();
 }

@@ -13,13 +13,18 @@
 //     options.partitions > 0 map copies records into a PartitionedContainer
 //     (splitters sampled from the first chunk), so the merge phase is P
 //     independent per-partition merges with no global round at all.
-// All modes sort indices/pointers by key then materialize permuted records.
+// All modes sort 16-byte key-prefix entries (merge/key_prefix.hpp: the first
+// 8 key bytes as a big-endian integer plus the record pointer), so nearly
+// every comparison is one integer compare on cache-resident data; only
+// equal prefixes read the records. One parallel gather then materializes
+// the permuted records.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "common/default_init_allocator.hpp"
 #include "containers/array_container.hpp"
 #include "containers/partitioned.hpp"
 #include "core/application.hpp"
@@ -60,7 +65,7 @@ class TeraSortApp final : public core::Application {
   }
 
   // Sorted output (result_count() * record_bytes bytes), valid after merge.
-  const std::vector<char>& sorted_data() const { return sorted_; }
+  const UninitBytes& sorted_data() const { return sorted_; }
 
   // Sum over all keys' first 8 bytes — computed by reduce; order-invariant,
   // so it must match between chunked and unchunked runs.
@@ -95,7 +100,7 @@ class TeraSortApp final : public core::Application {
   std::vector<RoundTask> tasks_;
   std::uint64_t checksum_ = 0;
   std::atomic<std::uint64_t> malformed_{0};
-  std::vector<char> sorted_;
+  UninitBytes sorted_;
 };
 
 }  // namespace supmr::apps

@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cache_line.hpp"
 #include "containers/arena_hash_map.hpp"
 #include "containers/hash.hpp"
 #include "containers/hash_container.hpp"
@@ -209,8 +210,9 @@ class CombiningContainer {
 
   // One map thread's table. Linear probing over a power-of-two slot array,
   // growing at 70% load (same policy as ArenaHashMap); keys longer than the
-  // inline capacity spill to an append-only buffer.
-  struct Stripe {
+  // inline capacity spill to an append-only buffer. Every emit writes the
+  // stripe's counters, so each stripe owns its cache lines.
+  struct alignas(kCacheLine) Stripe {
     std::vector<Slot> slots;
     std::string long_keys;
     std::size_t size = 0;
@@ -293,6 +295,10 @@ class CombiningContainer {
       return slots.size() * sizeof(Slot) + long_keys.capacity();
     }
   };
+
+  static_assert(alignof(Stripe) == kCacheLine &&
+                    sizeof(Stripe) % kCacheLine == 0,
+                "stripes must not share cache lines");
 
   std::vector<Stripe> stripes_;
   bool initialized_ = false;

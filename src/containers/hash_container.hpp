@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cache_line.hpp"
 #include "containers/arena_hash_map.hpp"
 
 namespace supmr::containers {
@@ -52,7 +53,7 @@ class HashContainer {
     stripes_.clear();
     stripes_.reserve(num_map_threads);
     for (std::size_t i = 0; i < num_map_threads; ++i)
-      stripes_.emplace_back(capacity_hint);
+      stripes_.push_back(Stripe{ArenaHashMap<value_type>(capacity_hint)});
     initialized_ = true;
   }
 
@@ -70,7 +71,7 @@ class HashContainer {
             const auto& mapped_value) {
     assert(thread_id < stripes_.size());
     value_type& acc =
-        stripes_[thread_id].find_or_insert(key, Combiner::identity());
+        stripes_[thread_id].value.find_or_insert(key, Combiner::identity());
     Combiner::combine(acc, mapped_value);
   }
 
@@ -80,7 +81,7 @@ class HashContainer {
   // the reduce phase is what de-duplicates).
   std::size_t raw_entries() const {
     std::size_t n = 0;
-    for (const auto& s : stripes_) n += s.size();
+    for (const auto& s : stripes_) n += s.value.size();
     return n;
   }
 
@@ -91,7 +92,7 @@ class HashContainer {
       std::size_t part, std::size_t num_parts) const {
     ArenaHashMap<value_type> merged(256);
     for (const auto& stripe : stripes_) {
-      stripe.for_each_in_partition(
+      stripe.value.for_each_in_partition(
           part, num_parts, [&](std::string_view key, const value_type& v) {
             value_type& acc = merged.find_or_insert(key, Combiner::identity());
             Combiner::merge(acc, v);
@@ -106,7 +107,14 @@ class HashContainer {
   }
 
  private:
-  std::vector<ArenaHashMap<value_type>> stripes_;
+  // One map per map thread, each on its own cache lines: every emit writes
+  // its map's size and arena bookkeeping.
+  using Stripe = CacheAligned<ArenaHashMap<value_type>>;
+  static_assert(alignof(Stripe) == kCacheLine &&
+                    sizeof(Stripe) % kCacheLine == 0,
+                "stripes must not share cache lines");
+
+  std::vector<Stripe> stripes_;
   bool initialized_ = false;
 };
 

@@ -26,6 +26,8 @@
 #include <span>
 #include <vector>
 
+#include "common/cache_line.hpp"
+
 namespace supmr::containers {
 
 class PartitionedContainer {
@@ -148,12 +150,12 @@ class PartitionedContainer {
   std::span<const char> stripe(std::size_t partition,
                                std::size_t thread) const {
     assert(partition < partitions_ && thread < threads_);
-    const std::vector<char>& s = stripes_[partition * threads_ + thread];
+    const std::vector<char>& s = stripes_[partition * threads_ + thread].value;
     return std::span<const char>(s.data(), s.size());
   }
   std::span<char> stripe_span(std::size_t partition, std::size_t thread) {
     assert(partition < partitions_ && thread < threads_);
-    std::vector<char>& s = stripes_[partition * threads_ + thread];
+    std::vector<char>& s = stripes_[partition * threads_ + thread].value;
     return std::span<char>(s.data(), s.size());
   }
 
@@ -161,7 +163,7 @@ class PartitionedContainer {
     assert(partition < partitions_);
     std::uint64_t bytes = 0;
     for (std::size_t t = 0; t < threads_; ++t)
-      bytes += stripes_[partition * threads_ + t].size();
+      bytes += stripes_[partition * threads_ + t].value.size();
     return bytes;
   }
   std::uint64_t partition_records(std::size_t partition) const {
@@ -169,17 +171,23 @@ class PartitionedContainer {
   }
   std::uint64_t total_records() const {
     std::uint64_t bytes = 0;
-    for (const auto& s : stripes_) bytes += s.size();
+    for (const auto& s : stripes_) bytes += s.value.size();
     return bytes / record_bytes_;
   }
 
  private:
   std::vector<char>& stripe_mut(std::size_t partition, std::size_t thread) {
-    return stripes_[partition * threads_ + thread];
+    return stripes_[partition * threads_ + thread].value;
   }
 
-  std::vector<std::vector<char>> stripes_;  // [partition * threads_ + thread]
-  std::vector<char> splitters_;             // num_splitters * key_bytes_
+  // Every append writes its stripe's vector header, so each header owns a
+  // cache line.
+  using Stripe = CacheAligned<std::vector<char>>;
+  static_assert(alignof(Stripe) == kCacheLine && sizeof(Stripe) == kCacheLine,
+                "stripes must not share cache lines");
+
+  std::vector<Stripe> stripes_;  // [partition * threads_ + thread]
+  std::vector<char> splitters_;  // num_splitters * key_bytes_
   std::uint64_t record_bytes_ = 0;
   std::uint64_t key_bytes_ = 0;
   std::size_t partitions_ = 0;

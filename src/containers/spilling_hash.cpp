@@ -127,13 +127,14 @@ void SpillingHashContainer::init(std::size_t num_map_threads,
   }
   options_ = options;
   stripes_.clear();
-  for (std::size_t i = 0; i < num_map_threads; ++i) stripes_.emplace_back(256);
+  for (std::size_t i = 0; i < num_map_threads; ++i)
+    stripes_.push_back({ArenaHashMap<std::uint64_t>(256)});
   initialized_ = true;
 }
 
 std::uint64_t SpillingHashContainer::memory_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& s : stripes_) total += s.memory_bytes();
+  for (const auto& s : stripes_) total += s.value.memory_bytes();
   return total;
 }
 
@@ -142,10 +143,10 @@ SpillingHashContainer::drain_stripes() {
   // Merge duplicates across stripes through a staging map, then sort.
   ArenaHashMap<std::uint64_t> merged(1024);
   for (auto& stripe : stripes_) {
-    stripe.for_each([&](std::string_view key, const std::uint64_t& v) {
+    stripe.value.for_each([&](std::string_view key, const std::uint64_t& v) {
       merged.find_or_insert(key, 0) += v;
     });
-    stripe.clear();
+    stripe.value.clear();
   }
   std::vector<std::pair<std::string, std::uint64_t>> pairs;
   pairs.reserve(merged.size());

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cache_line.hpp"
 #include "common/status.hpp"
 #include "containers/arena_hash_map.hpp"
 
@@ -45,7 +46,7 @@ class SpillingHashContainer {
   // Map-side: lock-free fold into the calling thread's stripe.
   void emit(std::size_t thread_id, std::string_view key,
             std::uint64_t count) {
-    stripes_[thread_id].find_or_insert(key, 0) += count;
+    stripes_[thread_id].value.find_or_insert(key, 0) += count;
   }
 
   // Coordinator, between map waves: spills all stripes as one sorted run if
@@ -68,7 +69,8 @@ class SpillingHashContainer {
   std::vector<std::pair<std::string, std::uint64_t>> drain_stripes();
 
   Options options_;
-  std::vector<ArenaHashMap<std::uint64_t>> stripes_;
+  // One cache-line-aligned map per map thread (every emit writes it).
+  std::vector<CacheAligned<ArenaHashMap<std::uint64_t>>> stripes_;
   std::vector<std::string> spill_paths_;
   bool initialized_ = false;
 };

@@ -2,11 +2,19 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 namespace supmr::core {
 
+namespace {
+
+std::vector<std::string> channel_names() { return {"user", "sys", "iowait"}; }
+
+}  // namespace
+
 ProcStatSampler::ProcStatSampler(double interval_s)
-    : interval_s_(interval_s), series_({"user", "sys", "iowait"}) {}
+    : interval_s_(interval_s), series_(channel_names()) {}
 
 ProcStatSampler::~ProcStatSampler() {
   running_.store(false);
@@ -34,6 +42,9 @@ void ProcStatSampler::start() {
   // std::thread, which is std::terminate. (Restart after stop() is fine —
   // stop() leaves thread_ joined.)
   if (running_.exchange(true)) return;
+  // Each start() begins a new trace: its times count from this start(), so
+  // appending them to an earlier trace would make time run backwards.
+  series_ = TimeSeries(channel_names());
   thread_ = std::thread([this] { loop(); });
 }
 

@@ -26,8 +26,8 @@ class ProcStatSampler {
   // called twice) is a no-op that returns the trace collected so far;
   // destruction while running stops and joins the sampler.
   void start();
-  // Stops sampling and returns the trace (channels: user, sys, iowait; t in
-  // seconds since start()).
+  // Stops sampling and returns the trace since the last start() (channels:
+  // user, sys, iowait; t in seconds since that start()).
   TimeSeries stop();
 
   static bool available();  // /proc/stat readable?

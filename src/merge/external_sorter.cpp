@@ -214,18 +214,14 @@ Status ExternalSorter::add(std::span<const char> records) {
   return Status::Ok();
 }
 
-void ExternalSorter::sort_buffer(std::vector<std::uint64_t>& index) {
-  index.resize(buffered_records_);
-  for (std::uint64_t i = 0; i < buffered_records_; ++i) index[i] = i;
-  const char* data = buffer_.data();
-  const std::uint32_t rb = options_.record_bytes;
-  const std::uint32_t kb = options_.key_bytes;
-  auto cmp = [data, rb, kb](std::uint64_t a, std::uint64_t b) {
-    return std::memcmp(data + a * rb, data + b * rb, kb) < 0;
-  };
+void ExternalSorter::sort_buffer(std::vector<KeyPrefixEntry>& entries) {
+  entries.resize(buffered_records_);
+  fill_entries(buffer_.data(), buffered_records_, options_.record_bytes,
+               options_.key_bytes, entries.data());
   parallel_sample_sort(pool_,
-                       std::span<std::uint64_t>(index.data(), index.size()),
-                       cmp);
+                       std::span<KeyPrefixEntry>(entries.data(),
+                                                 entries.size()),
+                       KeyPrefixLess{options_.key_bytes});
 }
 
 // Cuts partitions() - 1 splitter keys from the current (sorted) buffer at
@@ -233,15 +229,13 @@ void ExternalSorter::sort_buffer(std::vector<std::uint64_t>& index) {
 // PartitionedContainer::sample_splitters. Runs once, on the first spill, so
 // every later spill splits at identical keys.
 void ExternalSorter::select_splitters(
-    const std::vector<std::uint64_t>& index) {
-  const std::uint32_t rb = options_.record_bytes;
+    const std::vector<KeyPrefixEntry>& entries) {
   const std::uint32_t kb = options_.key_bytes;
   const std::size_t P = spills_.size();
   splitters_.clear();
   if (P < 2 || buffered_records_ < 2) return;
   for (std::size_t p = 1; p < P; ++p) {
-    const char* cut =
-        buffer_.data() + index[p * buffered_records_ / P] * rb;
+    const char* cut = entries[p * buffered_records_ / P].rec;
     if (!splitters_.empty() &&
         std::memcmp(splitters_.data() + splitters_.size() - kb, cut, kb) >=
             0) {
@@ -274,22 +268,22 @@ Status ExternalSorter::spill_buffer() {
   SUPMR_TRACE_SET_ARG2(span, "bytes", buffer_.size());
   SUPMR_COUNTER_ADD("merge.spills", 1);
   SUPMR_COUNTER_ADD("merge.spill_bytes", buffer_.size());
-  std::vector<std::uint64_t> index;
-  sort_buffer(index);
+  std::vector<KeyPrefixEntry> entries;
+  sort_buffer(entries);
 
   const std::uint32_t rb = options_.record_bytes;
   const std::size_t P = spills_.size();
   if (P > 1 && splitters_.empty() && runs_spilled() == 0) {
-    select_splitters(index);
+    select_splitters(entries);
   }
 
-  // The sorted permutation splits into contiguous per-partition ranges;
+  // The sorted entries split into contiguous per-partition ranges;
   // each non-empty range becomes one spill run for its partition.
   std::vector<std::uint64_t> bounds(P + 1, buffered_records_);
   bounds[0] = 0;
   std::size_t cur = 0;
   for (std::uint64_t i = 0; i < buffered_records_; ++i) {
-    const std::size_t p = partition_of(buffer_.data() + index[i] * rb);
+    const std::size_t p = partition_of(entries[i].rec);
     while (cur < p) bounds[++cur] = i;
   }
   while (cur + 1 < P) bounds[++cur] = buffered_records_;
@@ -308,7 +302,7 @@ Status ExternalSorter::spill_buffer() {
     // Write permuted records through a staging slab.
     std::size_t fill = 0;
     for (std::uint64_t i = first; i < last; ++i) {
-      std::memcpy(slab.data() + fill, buffer_.data() + index[i] * rb, rb);
+      std::memcpy(slab.data() + fill, entries[i].rec, rb);
       fill += rb;
       if (fill == slab.size() || i + 1 == last) {
         if (std::fwrite(slab.data(), 1, fill, f) != fill) {
@@ -336,13 +330,11 @@ StatusOr<MergeStats> ExternalSorter::finish(const Sink& sink) {
   // In-memory residue becomes one pre-sorted run.
   std::vector<char> residue;
   if (buffered_records_ > 0) {
-    std::vector<std::uint64_t> index;
-    sort_buffer(index);
+    std::vector<KeyPrefixEntry> entries;
+    sort_buffer(entries);
     residue.resize(buffered_records_ * rb);
-    for (std::uint64_t i = 0; i < buffered_records_; ++i) {
-      std::memcpy(residue.data() + i * rb, buffer_.data() + index[i] * rb,
-                  rb);
-    }
+    for (std::uint64_t i = 0; i < buffered_records_; ++i)
+      std::memcpy(residue.data() + i * rb, entries[i].rec, rb);
     buffer_.clear();
     buffered_records_ = 0;
   }

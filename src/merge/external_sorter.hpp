@@ -5,8 +5,9 @@
 // fit. This module extends SupMR's merge machinery to that regime with the
 // classic external merge sort, built from the same kernels:
 //   * ingest side: add() buffers records; when the budget fills, the buffer
-//     is sorted (parallel sample sort over an index array) and written out
-//     as one sorted RUN to the spill directory;
+//     is sorted (parallel sample sort over key-prefix entries,
+//     merge/key_prefix.hpp) and written out as one sorted RUN to the spill
+//     directory;
 //   * merge side: finish() streams all runs (plus the in-memory residue)
 //     through a single loser-tree k-way merge — one round, exactly the
 //     paper's p-way merge argument applied to disk-resident runs — and
@@ -27,6 +28,7 @@
 
 #include "common/status.hpp"
 #include "fault/retry_policy.hpp"
+#include "merge/key_prefix.hpp"
 #include "merge/stats.hpp"
 #include "storage/device.hpp"
 #include "threading/thread_pool.hpp"
@@ -87,8 +89,8 @@ class ExternalSorter {
 
  private:
   Status spill_buffer();
-  void sort_buffer(std::vector<std::uint64_t>& index);
-  void select_splitters(const std::vector<std::uint64_t>& index);
+  void sort_buffer(std::vector<KeyPrefixEntry>& entries);
+  void select_splitters(const std::vector<KeyPrefixEntry>& entries);
   std::size_t partition_of(const char* key) const;
 
   ThreadPool& pool_;

@@ -8,6 +8,7 @@
 // Both sort in place over a contiguous buffer and report MergeStats.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -63,10 +64,11 @@ MergeStats parallel_sample_sort(ThreadPool& pool, std::span<T> data, Cmp cmp,
   const_runs.reserve(runs.size());
   for (auto& r : runs)
     const_runs.push_back(std::span<const T>(r.data(), r.size()));
-  std::vector<T> out(data.size());
+  // Default-initialized scratch: the merge overwrites every element.
+  auto out = std::make_unique_for_overwrite<T[]>(data.size());
   MergeStats stats =
-      parallel_pway_merge(pool, std::move(const_runs), out.data(), cmp);
-  std::copy(out.begin(), out.end(), data.begin());
+      parallel_pway_merge(pool, std::move(const_runs), out.get(), cmp);
+  std::copy(out.get(), out.get() + data.size(), data.begin());
   return stats;
 }
 

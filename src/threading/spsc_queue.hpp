@@ -10,18 +10,13 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
 
-namespace supmr {
+#include "common/cache_line.hpp"
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine = std::hardware_destructive_interference_size;
-#else
-inline constexpr std::size_t kCacheLine = 64;
-#endif
+namespace supmr {
 
 template <typename T>
 class SpscQueue {

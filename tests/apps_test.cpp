@@ -11,7 +11,10 @@
 #include "apps/tera_sort.hpp"
 #include "apps/tokenize.hpp"
 #include "apps/word_count.hpp"
+#include "common/rng.hpp"
 #include "core/job.hpp"
+#include "core/replay.hpp"
+#include "merge/external_sorter.hpp"
 #include "storage/mem_device.hpp"
 #include "wload/teragen.hpp"
 #include "wload/text_corpus.hpp"
@@ -192,9 +195,8 @@ wload::TeraGenConfig tiny_teragen(std::uint64_t records, std::uint64_t seed) {
   return cfg;
 }
 
-void expect_terasorted(const TeraSortApp& app, const std::string& input,
+void expect_terasorted(std::span<const char> sorted, const std::string& input,
                        const wload::TeraGenConfig& cfg) {
-  const auto& sorted = app.sorted_data();
   ASSERT_EQ(sorted.size(), input.size());
   // Sorted by key prefix.
   for (std::uint64_t r = 1; r < cfg.num_records; ++r) {
@@ -214,6 +216,30 @@ void expect_terasorted(const TeraSortApp& app, const std::string& input,
   std::sort(in_recs.begin(), in_recs.end());
   std::sort(out_recs.begin(), out_recs.end());
   EXPECT_EQ(in_recs, out_recs);
+}
+
+void expect_terasorted(const TeraSortApp& app, const std::string& input,
+                       const wload::TeraGenConfig& cfg) {
+  expect_terasorted(std::span<const char>(app.sorted_data()), input, cfg);
+}
+
+// TeraGen records whose keys all share their first 8 bytes (0x00 and bytes
+// >= 0x80 among them), with random bytes after that. TeraGen's own random
+// keys never share 8 bytes, so only inputs like this make every comparison
+// take the key-prefix comparator's memcmp fallback. The oracle cannot catch
+// a fallback bug on its own: ref::run_ref calls the app's own merge().
+std::string shared_prefix_input(const wload::TeraGenConfig& cfg) {
+  static constexpr char kStem[8] = {'\x00', '\x80', '\xff', '\x7f',
+                                    'k',    '\x00', '\x81', '\x01'};
+  std::string input = wload::teragen_to_string(cfg);
+  Xoshiro256 rng(cfg.seed);
+  for (std::uint64_t r = 0; r < cfg.num_records; ++r) {
+    char* key = input.data() + r * cfg.record_bytes;
+    std::memcpy(key, kStem, sizeof(kStem));
+    for (std::uint32_t k = sizeof(kStem); k < cfg.key_bytes; ++k)
+      key[k] = static_cast<char>(rng.uniform(256));
+  }
+  return input;
 }
 
 TEST(TeraSort, SortsOriginalRuntime) {
@@ -297,6 +323,70 @@ TEST(TeraSort, CountsMalformedRecords) {
   MapReduceJob job(app, src, small_config());
   ASSERT_TRUE(job.run(core::ExecMode::kOriginal).ok());
   EXPECT_EQ(app.malformed_records(), 1u);
+}
+
+TEST(TeraSort, SharedPrefixKeysSortInEveryMergeMode) {
+  const auto cfg = tiny_teragen(3000, 11);
+  const std::string input = shared_prefix_input(cfg);
+  for (MergeMode mode :
+       {MergeMode::kPairwise, MergeMode::kPWay, MergeMode::kPartitioned}) {
+    SCOPED_TRACE(core::merge_mode_name(mode));
+    JobConfig jc = small_config();
+    jc.merge_mode = mode;
+    TeraSortApp app;
+    SingleDeviceSource src(mem(input),
+                           std::make_shared<ingest::FixedFormat>(100), 37700);
+    MapReduceJob job(app, src, jc);
+    auto result = job.run(core::ExecMode::kIngestMR);
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(app.malformed_records(), 0u);
+    expect_terasorted(app, input, cfg);
+  }
+}
+
+TEST(TeraSort, SharedPrefixKeysSortInMapTimePartitions) {
+  const auto cfg = tiny_teragen(3000, 12);
+  const std::string input = shared_prefix_input(cfg);
+  JobConfig jc = small_config();
+  jc.merge_mode = MergeMode::kPartitioned;
+  TeraSortOptions opt;
+  opt.partitions = jc.merge_partitions();
+  TeraSortApp app(opt);
+  SingleDeviceSource src(mem(input),
+                         std::make_shared<ingest::FixedFormat>(100), 37700);
+  MapReduceJob job(app, src, jc);
+  auto result = job.run(core::ExecMode::kIngestMR);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  // The splitters differ only past the shared 8 bytes.
+  EXPECT_GT(app.partitioned_container().num_splitters(), 0u);
+  expect_terasorted(app, input, cfg);
+}
+
+TEST(TeraSort, SharedPrefixKeysSortThroughExternalSorterSpills) {
+  const auto cfg = tiny_teragen(3000, 13);
+  const std::string input = shared_prefix_input(cfg);
+  ThreadPool pool(2);
+  for (std::size_t partitions : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    merge::ExternalSorterOptions opt;
+    opt.record_bytes = cfg.record_bytes;
+    opt.key_bytes = cfg.key_bytes;
+    opt.memory_budget_bytes = 20000;  // 300 KB input: ~15 spills
+    opt.spill_dir = ::testing::TempDir();
+    opt.merge_read_bytes = 4096;
+    opt.partitions = partitions;
+    merge::ExternalSorter sorter(pool, opt);
+    ASSERT_TRUE(
+        sorter.add(std::span<const char>(input.data(), input.size())).ok());
+    EXPECT_GT(sorter.runs_spilled(), 1u);
+    std::string sorted;
+    auto stats = sorter.finish([&](std::span<const char> slab) {
+      sorted.append(slab.data(), slab.size());
+      return Status::Ok();
+    });
+    ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+    expect_terasorted(std::span<const char>(sorted), input, cfg);
+  }
 }
 
 // -------------------------------------------------------------------- grep

@@ -1,6 +1,7 @@
 // Unit + property tests for the sorting/merging kernels: introsort, loser
-// tree, pairwise merge, parallel p-way merge, composed sorters, and the
-// round-geometry statistics the paper's figures rely on.
+// tree, pairwise merge, parallel p-way merge, composed sorters, the
+// key-prefix record comparator, and the round-geometry statistics the
+// paper's figures rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "merge/introsort.hpp"
+#include "merge/key_prefix.hpp"
 #include "merge/loser_tree.hpp"
 #include "merge/pairwise.hpp"
 #include "merge/pway.hpp"
@@ -348,7 +350,7 @@ TEST(FormRuns, MoreRunsThanElements) {
   EXPECT_LE(runs.size(), 2u);
 }
 
-// Variable-width record sort through an index array — the TeraSort pattern.
+// Record sort through an index array with a memcmp comparator.
 TEST(IndexSort, RecordsByKeyPrefix) {
   constexpr std::size_t kRecords = 2000, kWidth = 20, kKey = 5;
   Xoshiro256 rng(13);
@@ -370,6 +372,53 @@ TEST(IndexSort, RecordsByKeyPrefix) {
                           base + index[i] * kWidth, kKey),
               0);
   }
+}
+
+// --------------------------------------------------- key-prefix comparator
+
+int sign_of(int v) { return (v > 0) - (v < 0); }
+
+// Mostly the byte values a signed or little-endian prefix would misorder.
+char edge_byte(Xoshiro256& rng) {
+  static constexpr unsigned char kEdges[] = {0x00, 0x01, 0x7f,
+                                             0x80, 0xfe, 0xff};
+  const std::uint64_t v =
+      rng.uniform(2) == 0 ? kEdges[rng.uniform(6)] : rng.uniform(256);
+  return static_cast<char>(static_cast<unsigned char>(v));
+}
+
+TEST(KeyPrefix, ComparatorAgreesInSignWithMemcmp) {
+  Xoshiro256 rng(0x6b6579);
+  for (const std::uint32_t kb : {1u, 7u, 8u, 9u, 10u, 16u}) {
+    const KeyPrefixLess less{kb};
+    for (int trial = 0; trial < 20000; ++trial) {
+      // Records carry 4 bytes past the key that must never be compared.
+      std::string a(kb + 4, '\0'), b(kb + 4, '\0');
+      for (char& c : a) c = edge_byte(rng);
+      for (char& c : b) c = edge_byte(rng);
+      if (trial % 2 == 0) {
+        // Shared first 8 bytes: only the memcmp fallback can tell them apart.
+        std::memcpy(b.data(), a.data(), std::min<std::uint32_t>(8, kb));
+      }
+      if (trial % 7 == 0) {
+        // Keys that differ in one byte (or not at all).
+        std::memcpy(b.data(), a.data(), kb);
+        if (trial % 3 != 0) b[rng.uniform(kb)] = edge_byte(rng);
+      }
+      const KeyPrefixEntry ea = make_entry(a.data(), kb);
+      const KeyPrefixEntry eb = make_entry(b.data(), kb);
+      const int got = less(ea, eb) ? -1 : (less(eb, ea) ? 1 : 0);
+      ASSERT_EQ(got, sign_of(std::memcmp(a.data(), b.data(), kb)))
+          << "key_bytes=" << kb << " trial=" << trial;
+    }
+  }
+}
+
+TEST(KeyPrefix, PrefixIsBigEndianAndZeroPadded) {
+  const char key[] = "\x01\x02\x03\x04\x05\x06\x07\x08\x09";
+  EXPECT_EQ(key_prefix(key, 10), 0x0102030405060708ULL);
+  EXPECT_EQ(key_prefix(key, 3), 0x0102030000000000ULL);
+  EXPECT_EQ(key_prefix("\xff", 1), 0xff00000000000000ULL);
 }
 
 }  // namespace

@@ -91,7 +91,9 @@ TEST(SpillingHash, MatchesReferenceUnderRandomLoad) {
     const std::uint64_t v = 1 + rng.uniform(5);
     c.emit(rng.uniform(3), key, v);
     ref[key] += v;
-    if (op % 5000 == 4999) ASSERT_TRUE(c.maybe_spill().ok());
+    if (op % 5000 == 4999) {
+      ASSERT_TRUE(c.maybe_spill().ok());
+    }
   }
   EXPECT_GT(c.runs_spilled(), 0u);
   auto out = collect(c);

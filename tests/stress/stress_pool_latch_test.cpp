@@ -179,9 +179,11 @@ TEST(ProcSamplerLifecycle, StartStopEdgeCasesDoNotCrash) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     (void)sampler.stop();
     (void)sampler.stop();  // double stop: no-op
-    sampler.start();       // restart after stop
+    sampler.start();       // restart after stop: a new trace
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    (void)sampler.stop();
+    const TimeSeries trace = sampler.stop();
+    for (std::size_t i = 1; i < trace.samples(); ++i)
+      EXPECT_GE(trace.time(i), trace.time(i - 1));
   }
   {
     core::ProcStatSampler sampler(0.001);

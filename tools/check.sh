@@ -2,7 +2,8 @@
 # SupMR correctness gate: plain tier-1 build + TSan + ASan+UBSan.
 #
 # Stages:
-#   plain     — full build, full ctest (the tier-1 gate from ROADMAP.md)
+#   plain     — full build with warnings as errors (-DSUPMR_WERROR=ON),
+#               full ctest (the tier-1 gate from ROADMAP.md)
 #   tsan      — -DSUPMR_SANITIZE=thread,           ctest -L sanitizer
 #   asan      — -DSUPMR_SANITIZE=address,undefined, ctest -L sanitizer
 #   obs-smoke — run the quickstart with --metrics-json/--trace-out and
@@ -153,7 +154,7 @@ run_stage() {
   echo "==> stage: ${stage}"
   case "${stage}" in
     plain)
-      configure_and_build "${ROOT}/build-check-plain"
+      configure_and_build "${ROOT}/build-check-plain" -DSUPMR_WERROR=ON
       (cd "${ROOT}/build-check-plain" && ctest --output-on-failure -j "${JOBS}")
       ;;
     tsan)
