@@ -98,7 +98,7 @@ BENCHMARK(BM_ParallelSampleSort)->Arg(8)->Arg(32);
 // over the same duplicate-light input (shared seed => byte-identical data):
 //   * global: the intermediate container is unsorted, so the merge phase is
 //     run formation + one p-way merge round over ALL runs (scratch +
-//     copy-back) — parallel_sample_sort, the kPWay job path;
+//     copy-back) — parallel_sample_sort, as ExternalSorter sorts a spill;
 //   * partitioned: the key-range shuffle already happened at map time (not
 //     timed — that cost rides on the map phase), so the merge phase is one
 //     stripe sort + loser-tree merge per partition, written straight into
@@ -167,19 +167,28 @@ BENCHMARK(BM_MergePhasePartitioned)
     ->Args({8, 16})
     ->UseRealTime();
 
-void BM_PartitionedSort(benchmark::State& state) {
-  const auto base = random_data(1 << 18, 3);
+void BM_PartitionedMergeRuns(benchmark::State& state) {
+  // TeraSort's flat kPartitioned merge: 16 runs sorted before timing (the
+  // map tasks form them), cut at sampled splitters and merged per partition.
+  auto data = random_data(1 << 18, 3);
   ThreadPool pool(4);
-  for (auto _ : state) {
-    auto v = base;
-    partitioned_sort(pool, std::span<std::uint64_t>(v),
-                     std::less<std::uint64_t>{}, state.range(0));
-    benchmark::DoNotOptimize(v.data());
+  std::vector<std::span<const std::uint64_t>> runs;
+  const std::size_t per = data.size() / 16;
+  for (std::size_t r = 0; r < 16; ++r) {
+    std::sort(data.begin() + r * per, data.begin() + (r + 1) * per);
+    runs.push_back(std::span<const std::uint64_t>(data.data() + r * per, per));
   }
-  state.SetItemsProcessed(state.iterations() * base.size());
+  std::vector<std::uint64_t> out(data.size());
+  for (auto _ : state) {
+    partitioned_merge_runs(pool, runs, out.data(), std::less<std::uint64_t>{},
+                           state.range(0));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * data.size());
   state.SetLabel("partitions=" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_PartitionedSort)->Arg(4)->Arg(16);
+BENCHMARK(BM_PartitionedMergeRuns)->Arg(4)->Arg(16);
 
 }  // namespace
 }  // namespace supmr::merge

@@ -6,11 +6,11 @@
 #include <cstring>
 #include <memory>
 
+#include "merge/introsort.hpp"
 #include "merge/key_prefix.hpp"
 #include "merge/pairwise.hpp"
 #include "merge/partitioned.hpp"
 #include "merge/pway.hpp"
-#include "merge/sample_sort.hpp"
 
 namespace supmr::apps {
 
@@ -40,8 +40,11 @@ void TeraSortApp::init(std::size_t num_map_threads) {
     pcontainer_.init(options_.record_bytes, options_.key_bytes,
                      options_.partitions, num_map_threads);
   } else {
+    container_.reset();
     container_.init(options_.record_bytes);
   }
+  entry_blocks_.clear();
+  runs_.clear();
   checksum_ = 0;
   malformed_ = 0;
   sorted_.clear();
@@ -56,7 +59,8 @@ Status TeraSortApp::prepare_round(const ingest::IngestChunk& chunk) {
         " is not a whole number of " + std::to_string(rb) + "-byte records");
   }
   const std::uint64_t records = bytes.size() / rb;
-  std::uint64_t base = 0;
+  char* dst = nullptr;
+  merge::KeyPrefixEntry* entries = nullptr;
   if (partitioned()) {
     // Splitters come from the first non-empty chunk (sample-sort style);
     // later chunks route through the same cuts, so partitions stay
@@ -64,10 +68,13 @@ Status TeraSortApp::prepare_round(const ingest::IngestChunk& chunk) {
     if (records > 0 && pcontainer_.num_splitters() == 0) {
       pcontainer_.sample_splitters(bytes);
     }
-  } else {
-    // One atomic extend for the whole round (may reallocate — no mappers are
-    // running yet), then each mapper fills a disjoint slot range.
-    base = container_.claim(records);
+  } else if (records > 0) {
+    // One uninitialised block of records and one of entries for the round;
+    // each mapper then fills a disjoint slice of both.
+    dst = container_.mutable_record(container_.claim(records));
+    entry_blocks_.push_back(
+        std::make_unique_for_overwrite<merge::KeyPrefixEntry[]>(records));
+    entries = entry_blocks_.back().get();
   }
   tasks_.clear();
   if (records == 0) return Status::Ok();
@@ -75,16 +82,22 @@ Status TeraSortApp::prepare_round(const ingest::IngestChunk& chunk) {
       (records + num_mappers_ - 1) / num_mappers_;
   for (std::uint64_t first = 0; first < records; first += per) {
     const std::uint64_t n = std::min(per, records - first);
-    tasks_.push_back(RoundTask{bytes.data() + first * rb, base + first,
-                               n});
+    RoundTask task{bytes.data() + first * rb, n};
+    if (!partitioned()) {
+      task.dst = dst + first * rb;
+      task.run = entries + first;
+      runs_.emplace_back(task.run, n);
+    }
+    tasks_.push_back(task);
   }
   return Status::Ok();
 }
 
 void TeraSortApp::map_task(std::size_t task, std::size_t thread_id) {
-  // Flat container: the claimed slot range is the isolation. Partitioned
-  // container: the (partition, thread_id) stripe is — wave scheduling
-  // guarantees distinct thread_ids within a wave (application.hpp).
+  // Flat container: the claimed slot range and entry run are the isolation.
+  // Partitioned container: the (partition, thread_id) stripe is — wave
+  // scheduling guarantees distinct thread_ids within a wave
+  // (application.hpp).
   assert(task < tasks_.size());
   const RoundTask& t = tasks_[task];
   const std::uint64_t rb = options_.record_bytes;
@@ -98,14 +111,20 @@ void TeraSortApp::map_task(std::size_t task, std::size_t thread_id) {
     if (partitioned()) {
       pcontainer_.append(thread_id, std::span<const char>(rec, rb));
     } else {
-      container_.write_record(t.first_slot + r,
-                              std::span<const char>(rec, rb));
+      char* copy = t.dst + r * rb;
+      std::memcpy(copy, rec, rb);
+      t.run[r] = merge::make_entry(copy, options_.key_bytes);
     }
+  }
+  // Run formation: the sort's first round, overlapped with ingest.
+  if (!partitioned()) {
+    merge::introsort(t.run, t.run + t.num_records,
+                     merge::KeyPrefixLess{options_.key_bytes});
   }
   if (bad > 0) malformed_.fetch_add(bad, std::memory_order_relaxed);
 }
 
-Status TeraSortApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
+Status TeraSortApp::reduce(ThreadPool& pool, std::size_t) {
   // Sort's reduce touches every key once (identity coalescing with unique
   // keys): we fold the first 8 key bytes of every record into an
   // order-invariant checksum, partitioned across the pool.
@@ -137,26 +156,18 @@ Status TeraSortApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
     return Status::Ok();
   }
 
-  const std::uint64_t n = container_.size();
-  std::vector<std::uint64_t> partial(num_partitions, 0);
-  std::vector<std::function<void(std::size_t)>> tasks;
-  const std::uint64_t per = (n + num_partitions - 1) / num_partitions;
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    const std::uint64_t first = p * per;
-    if (first >= n) break;
-    const std::uint64_t last = std::min(first + per, n);
-    tasks.push_back([this, &partial, p, first, last](std::size_t) {
-      std::uint64_t sum = 0;
-      for (std::uint64_t r = first; r < last; ++r) {
-        std::uint64_t k = 0;
-        std::memcpy(&k, container_.record(r).data(),
-                    std::min<std::size_t>(8, options_.key_bytes));
-        sum += k;
-      }
-      partial[p] = sum;
-    });
-  }
-  if (!pool.run_wave(tasks))
+  // Flat container: every key's first 8 bytes are already in its map-time
+  // entry, so the checksum reads the 16-byte entries, not the records.
+  std::vector<std::uint64_t> partial(runs_.size(), 0);
+  if (!parallel_for(pool, runs_.size(), [&](std::size_t first,
+                                            std::size_t last, std::size_t) {
+        for (std::size_t r = first; r < last; ++r) {
+          std::uint64_t sum = 0;
+          for (const merge::KeyPrefixEntry& e : runs_[r])
+            sum += merge::prefix_key_word(e.prefix);
+          partial[r] = sum;
+        }
+      }))
     return Status::Internal("reduce wave dropped: thread pool shut down");
   checksum_ = 0;
   for (auto s : partial) checksum_ += s;
@@ -208,36 +219,31 @@ Status TeraSortApp::merge(ThreadPool& pool, const core::MergePlan& plan,
                           merge::MergeStats* stats) {
   if (partitioned()) return merge_partitioned(pool, stats);
 
+  // Map already sorted one entry run per task; what is left is one merge
+  // of those runs into `order`, then the gather.
   const std::uint64_t n = container_.size();
-  const std::uint64_t rb = options_.record_bytes;
-  const std::uint32_t kb = options_.key_bytes;
-  const char* data = container_.data();
-  const merge::KeyPrefixLess cmp{kb};
-
-  // Sort 16-byte key-prefix entries instead of the 100-byte records.
-  auto entries = std::make_unique_for_overwrite<merge::KeyPrefixEntry[]>(n);
-  if (!parallel_for(pool, n, [&](std::size_t first, std::size_t last,
-                                 std::size_t) {
-        merge::fill_entries(data + first * rb, last - first, rb, kb,
-                            entries.get() + first);
-      }))
-    return Status::Internal("merge wave dropped: thread pool shut down");
-  const std::span<merge::KeyPrefixEntry> span(entries.get(), n);
-
+  const merge::KeyPrefixLess cmp{options_.key_bytes};
+  auto order = std::make_unique_for_overwrite<merge::KeyPrefixEntry[]>(n);
   merge::MergeStats local;
-  const std::size_t num_runs = std::max<std::size_t>(2, pool.size() * 2);
-  if (plan.mode == core::MergeMode::kPartitioned) {
-    // Flat container but a partitioned plan: bucket the entries by sampled
-    // splitters at merge time (merge-time fallback — map-time sharding
-    // needs options.partitions > 0).
-    local = merge::partitioned_sort(pool, span, cmp, plan.partitions);
-  } else if (plan.mode == core::MergeMode::kPWay) {
-    local = merge::parallel_sample_sort(pool, span, cmp, num_runs);
+  if (plan.mode == core::MergeMode::kPairwise) {
+    local = merge::pairwise_merge(
+        pool, runs_, std::span<merge::KeyPrefixEntry>(order.get(), n), cmp);
   } else {
-    local = merge::pairwise_merge_sort(pool, span, cmp, num_runs);
+    std::vector<std::span<const merge::KeyPrefixEntry>> runs(runs_.begin(),
+                                                             runs_.end());
+    local = plan.mode == core::MergeMode::kPartitioned
+                ? merge::partitioned_merge_runs(pool, std::move(runs),
+                                                order.get(), cmp,
+                                                plan.partitions)
+                : merge::parallel_pway_merge(pool, std::move(runs),
+                                             order.get(), cmp);
   }
-
-  SUPMR_RETURN_IF_ERROR(gather(pool, entries.get(), n, rb, sorted_));
+  SUPMR_RETURN_IF_ERROR(
+      gather(pool, order.get(), n, options_.record_bytes, sorted_));
+  // The records now live in sorted_ alone: drop the runs and their blocks.
+  runs_.clear();
+  entry_blocks_.clear();
+  container_.reset();
   if (stats != nullptr) *stats = std::move(local);
   return Status::Ok();
 }

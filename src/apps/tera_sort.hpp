@@ -1,33 +1,41 @@
 // TeraSort — the paper's merge-bound benchmark application.
 //
 // Records are fixed-width (100 bytes in the paper), "\r\n"-terminated, with
-// a fixed-width binary-comparable key prefix. Map "parses" the chunk —
-// copying records into the unlocked array container at claimed slots (the
-// paper's §V.B: every thread writes its own key range with no
-// synchronization; sort's map is cheap, which is why its ingest overlap gains
-// are modest). Reduce checksums partitions (touching every key, as the
-// paper's reduce does). Merge is where the runtimes differ:
+// a fixed-width binary-comparable key prefix. Sort's map is where the sort
+// starts: each map task copies its records into the unlocked array
+// container at claimed slots (the paper's §V.B: every thread writes its own
+// key range with no synchronization), writes one 16-byte key-prefix entry
+// per record (merge/key_prefix.hpp: the first 8 key bytes as a big-endian
+// integer plus the record's stable address) and introsorts its slice. Map
+// runs overlapped with ingest (Fig. 4), so run formation costs nothing
+// while the disk is the bottleneck, and the merge phase is one merge of
+// those sorted runs. Reduce checksums the keys through the entries
+// (touching every key, as the paper's reduce does). Merge is where the
+// runtimes differ:
 //   * kPairwise    — iterative pairwise merging, log2(R) rounds (Fig. 1),
-//   * kPWay        — run formation + single parallel p-way merge (Fig. 6), or
-//   * kPartitioned — key-range sharded shuffle (docs/merge.md): with
-//     options.partitions > 0 map copies records into a PartitionedContainer
-//     (splitters sampled from the first chunk), so the merge phase is P
-//     independent per-partition merges with no global round at all.
-// All modes sort 16-byte key-prefix entries (merge/key_prefix.hpp: the first
-// 8 key bytes as a big-endian integer plus the record pointer), so nearly
-// every comparison is one integer compare on cache-resident data; only
-// equal prefixes read the records. One parallel gather then materializes
-// the permuted records.
+//   * kPWay        — a single parallel p-way merge (Fig. 6), or
+//   * kPartitioned — key-range shards: the runs are cut at sampled
+//     splitters and each partition is merged on its own. With
+//     options.partitions > 0 map instead copies records into a
+//     PartitionedContainer (splitters sampled from the first chunk), and the
+//     merge phase sorts and merges each partition's stripes with no global
+//     round at all (docs/merge.md).
+// Nearly every comparison is one integer compare on cache-resident entries;
+// only equal prefixes read the records. One parallel gather then
+// materializes the permuted records.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/default_init_allocator.hpp"
 #include "containers/array_container.hpp"
 #include "containers/partitioned.hpp"
 #include "core/application.hpp"
+#include "merge/key_prefix.hpp"
 
 namespace supmr::apps {
 
@@ -52,8 +60,12 @@ class TeraSortApp final : public core::Application {
   Status reduce(ThreadPool& pool, std::size_t num_partitions) override;
   Status merge(ThreadPool& pool, const core::MergePlan& plan,
                merge::MergeStats* stats) override;
+  // Valid after merge, which releases the flat container once its records
+  // are gathered into sorted_data().
   std::uint64_t result_count() const override {
-    return partitioned() ? pcontainer_.total_records() : container_.size();
+    if (partitioned()) return pcontainer_.total_records();
+    return options_.record_bytes == 0 ? 0
+                                      : sorted_.size() / options_.record_bytes;
   }
   std::string canonical_output() const override;
 
@@ -86,9 +98,11 @@ class TeraSortApp final : public core::Application {
 
  private:
   struct RoundTask {
-    const char* src = nullptr;       // first record's bytes in the chunk
-    std::uint64_t first_slot = 0;    // destination slot in the container
+    const char* src = nullptr;  // first record's bytes in the chunk
     std::uint64_t num_records = 0;
+    // Flat container only: the task's claimed records and its entry run.
+    char* dst = nullptr;
+    merge::KeyPrefixEntry* run = nullptr;
   };
 
   Status merge_partitioned(ThreadPool& pool, merge::MergeStats* stats);
@@ -98,6 +112,10 @@ class TeraSortApp final : public core::Application {
   containers::ArrayContainer container_;
   containers::PartitionedContainer pcontainer_;
   std::vector<RoundTask> tasks_;
+  // Flat container: one entry block per round, and one sorted run per map
+  // task pointing into it.
+  std::vector<std::unique_ptr<merge::KeyPrefixEntry[]>> entry_blocks_;
+  std::vector<std::span<merge::KeyPrefixEntry>> runs_;
   std::uint64_t checksum_ = 0;
   std::atomic<std::uint64_t> malformed_{0};
   UninitBytes sorted_;

@@ -2,21 +2,29 @@
 //
 // Sort transforms the input into an equal-sized intermediate set with unique
 // keys, so hashing is pure overhead (paper §V.B). Instead, all threads write
-// fixed-width records into one contiguous array without synchronization:
-// before each map round the coordinator claims a slot range for the round's
-// records (one atomic extend, resizing while no mappers run), then each
-// mapper writes its own disjoint sub-range.
+// fixed-width records into claimed slots without synchronization: before
+// each map round the coordinator claims a slot range for the round's records,
+// then each mapper writes its own disjoint sub-range.
+//
+// Each claim() appends one uninitialised block, so the coordinator never
+// zero-fills or moves earlier records: the mappers first-touch their own
+// slots, and a record's address stays fixed for the container's lifetime
+// (callers may keep pointers to it, as TeraSort's key-prefix entries do).
+// Slots are numbered contiguously across blocks, and the slots of one claim
+// are contiguous in memory.
 //
 // Records are copied in, so the container owns the data and chunk buffers
 // can be recycled — which is what lets the persistent container span the
 // whole ingest stream while only two chunks stay resident.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace supmr::containers {
@@ -24,7 +32,7 @@ namespace supmr::containers {
 class ArrayContainer {
  public:
   // Idempotent across map rounds (persistence, paper §III.C).
-  void init(std::uint64_t record_bytes, std::uint64_t expected_records = 0) {
+  void init(std::uint64_t record_bytes) {
     if (initialized_) {
       if (record_bytes_ != record_bytes)
         throw std::logic_error(
@@ -33,7 +41,6 @@ class ArrayContainer {
       return;
     }
     record_bytes_ = record_bytes;
-    data_.reserve(expected_records * record_bytes);
     used_records_ = 0;
     initialized_ = true;
   }
@@ -43,44 +50,52 @@ class ArrayContainer {
   std::uint64_t size() const { return used_records_; }
 
   void reset() {
-    data_.clear();
+    blocks_.clear();
     used_records_ = 0;
     initialized_ = false;
   }
 
-  // Claims `n` record slots and returns the first slot index. Must be called
-  // between map waves (it may reallocate); mappers then fill their disjoint
-  // sub-ranges concurrently via write_record().
+  // Claims `n` record slots in a new block and returns the first slot index.
+  // Must be called between map waves; mappers then fill their disjoint
+  // sub-ranges concurrently via write_record() or mutable_record().
   std::uint64_t claim(std::uint64_t n) {
     assert(initialized_);
     const std::uint64_t base = used_records_;
+    if (n == 0) return base;
+    blocks_.push_back(
+        Block{base, std::make_unique_for_overwrite<char[]>(n * record_bytes_)});
     used_records_ += n;
-    data_.resize(used_records_ * record_bytes_);
     return base;
   }
 
   // Unsynchronized write into a claimed slot (each mapper owns its slots).
   void write_record(std::uint64_t slot, std::span<const char> record) {
-    assert(slot < used_records_ && record.size() == record_bytes_);
-    std::memcpy(data_.data() + slot * record_bytes_, record.data(),
-                record_bytes_);
+    assert(record.size() == record_bytes_);
+    std::memcpy(mutable_record(slot), record.data(), record_bytes_);
   }
 
   std::span<const char> record(std::uint64_t slot) const {
-    assert(slot < used_records_);
-    return std::span<const char>(data_.data() + slot * record_bytes_,
-                                 record_bytes_);
+    return std::span<const char>(locate(slot), record_bytes_);
   }
-  char* mutable_record(std::uint64_t slot) {
-    assert(slot < used_records_);
-    return data_.data() + slot * record_bytes_;
-  }
-
-  const char* data() const { return data_.data(); }
-  char* data() { return data_.data(); }
+  char* mutable_record(std::uint64_t slot) { return locate(slot); }
 
  private:
-  std::vector<char> data_;
+  struct Block {
+    std::uint64_t first_slot;
+    std::unique_ptr<char[]> bytes;
+  };
+
+  char* locate(std::uint64_t slot) const {
+    assert(slot < used_records_);
+    // The last block starting at or before `slot`.
+    const auto it = std::upper_bound(
+        blocks_.begin(), blocks_.end(), slot,
+        [](std::uint64_t s, const Block& b) { return s < b.first_slot; });
+    const Block& block = *(it - 1);
+    return block.bytes.get() + (slot - block.first_slot) * record_bytes_;
+  }
+
+  std::vector<Block> blocks_;
   std::uint64_t record_bytes_ = 0;
   std::uint64_t used_records_ = 0;
   bool initialized_ = false;

@@ -105,10 +105,12 @@ struct IngestChunk {
 // no-op (nothing to recycle), keeping 0-byte chunks well-defined.
 class ChunkBufferPool {
  public:
-  // A single pipeline needs ingest depth + 1 retained buffers (the double
-  // buffer holds one, the producer fills one, the consumer drains one);
-  // kBuffersPerPipeline rounds that up with one slack slot. When N jobs
-  // share one pool (JobManager), size the cap from the lease:
+  // A single pipeline has at most four buffers live at once: the double
+  // buffer's two slots, the one the producer fills and the one the consumer
+  // drains. An acquire() misses only when every buffer made so far is live,
+  // so with a cap of at least kBuffersPerPipeline one pipeline misses at
+  // most kBuffersPerPipeline times, however its threads are scheduled. When
+  // N jobs share one pool (JobManager), size the cap from the lease:
   // N * kBuffersPerPipeline — a cap sized for one pipeline would thrash,
   // with concurrent pipelines stealing each other's warm buffers and
   // re-allocating every round.

@@ -11,7 +11,9 @@
 //
 // The entries are plain values, so the generic kernels (introsort, pairwise,
 // p-way and partitioned merges) sort them unchanged; the sorted entry array
-// is then a gather list for materializing the permuted records.
+// is then a gather list for materializing the permuted records. An entry
+// points into its record's storage, so that storage must not move while
+// the entry lives.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +42,16 @@ inline std::uint64_t key_prefix(const char* key, std::uint32_t key_bytes) {
     v = __builtin_bswap64(v);
   }
   return v;
+}
+
+// The key bytes of a prefix in native byte order: the inverse of
+// key_prefix(), equal to a memcpy of the first min(8, key_bytes) key bytes
+// into a zeroed word.
+inline std::uint64_t prefix_key_word(std::uint64_t prefix) {
+  if constexpr (std::endian::native == std::endian::little) {
+    prefix = __builtin_bswap64(prefix);
+  }
+  return prefix;
 }
 
 inline KeyPrefixEntry make_entry(const char* rec, std::uint32_t key_bytes) {

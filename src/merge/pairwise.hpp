@@ -7,6 +7,7 @@
 // precisely the inefficiency SupMR's single-round p-way merge removes.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <span>
 #include <vector>
@@ -30,14 +31,17 @@ void merge_two(std::span<const T> a, std::span<const T> b, T* out, Cmp& cmp) {
 
 }  // namespace detail
 
-// Merges `runs` (each sorted under cmp, laid out back-to-back in `buffer` of
-// total size n) into sorted order. Ping-pongs between `buffer` and a scratch
-// allocation; the sorted result always ends in `buffer`. Returns stats with
-// one entry per round.
+// Merges `runs` (each sorted under cmp, with buffer.size() elements in
+// total) into sorted order in `buffer`. The runs either lie back to back in
+// `buffer` or live outside it: the first round only reads them. Ping-pongs
+// between `buffer` and a scratch allocation; the sorted result always ends
+// in `buffer`. Returns stats with one entry per round.
 template <typename T, typename Cmp>
 MergeStats pairwise_merge(ThreadPool& pool, std::vector<std::span<T>> runs,
                           std::span<T> buffer, Cmp cmp) {
   MergeStats stats;
+  if (runs.size() == 1 && runs[0].data() != buffer.data())
+    std::copy(runs[0].begin(), runs[0].end(), buffer.begin());
   if (runs.size() <= 1) return stats;
 
   std::vector<T> scratch(buffer.size());

@@ -59,23 +59,30 @@ std::vector<T> select_splitters(std::span<const T> data,
   return splitters;
 }
 
+namespace detail {
+
+// Where key range `p` of `partitions` is routed. The identity, except under
+// the "partition-routing" mutation hook (conformance harness smoke), which
+// rotates every range one partition up, wrapping the top key range into
+// partition 0. The wrap is what makes it detectable — a uniform or monotone
+// shift would be erased by the per-stripe sorts downstream.
+inline std::size_t routed_partition(std::size_t p, std::size_t partitions) {
+  static const bool mutate_routing = test_mutation_enabled("partition-routing");
+  return mutate_routing && partitions > 1 ? (p + 1) % partitions : p;
+}
+
+}  // namespace detail
+
 // Partition index of `x` under `splitters` (sorted, strictly increasing):
 // the number of splitters <= x. Equal keys map to the same partition.
 template <typename T, typename Cmp>
 std::size_t partition_of(const std::vector<T>& splitters, const T& x,
                          Cmp cmp) {
-  std::size_t p = static_cast<std::size_t>(
-      std::upper_bound(splitters.begin(), splitters.end(), x, cmp) -
-      splitters.begin());
-  // "partition-routing" mutation hook (conformance harness smoke): rotate
-  // every element one partition up, wrapping the top key range into
-  // partition 0. The wrap is what makes it detectable — a uniform or
-  // monotone shift would be erased by the per-stripe sorts downstream.
-  static const bool mutate_routing = test_mutation_enabled("partition-routing");
-  if (mutate_routing && !splitters.empty()) {
-    p = (p + 1) % (splitters.size() + 1);
-  }
-  return p;
+  return detail::routed_partition(
+      static_cast<std::size_t>(
+          std::upper_bound(splitters.begin(), splitters.end(), x, cmp) -
+          splitters.begin()),
+      splitters.size() + 1);
 }
 
 // Buckets `data` into splitters.size() + 1 partitions, preserving arrival
@@ -108,6 +115,44 @@ inline void record_partition_stats(MergeStats& stats,
   SUPMR_GAUGE_SET("merge.partition_max_items", stats.partition_max_items);
   SUPMR_GAUGE_SET("merge.partition_mean_items",
                   sizes.empty() ? 0 : total / sizes.size());
+}
+
+// One loser-tree merge per partition of sorted runs into that partition's
+// disjoint output window (offsets are prefix sums of `sizes` — no
+// synchronization). Returns the number of merge tasks.
+template <typename T, typename Cmp>
+std::size_t merge_partition_windows(
+    ThreadPool& pool, std::vector<std::vector<std::span<const T>>>& partitions,
+    const std::vector<std::uint64_t>& sizes, T* out, Cmp& cmp) {
+  const std::size_t P = partitions.size();
+  std::vector<std::uint64_t> offsets(P + 1, 0);
+  for (std::size_t p = 0; p < P; ++p) offsets[p + 1] = offsets[p] + sizes[p];
+
+  std::vector<std::function<void(std::size_t)>> merge_tasks;
+  for (std::size_t p = 0; p < P; ++p) {
+    if (sizes[p] == 0) continue;
+    merge_tasks.push_back([&partitions, &offsets, out, &cmp, p](std::size_t) {
+      SUPMR_TRACE_SCOPE_VAR(pspan, "merge", "merge.partition");
+      SUPMR_TRACE_SET_ARG(pspan, "partition", p);
+      SUPMR_TRACE_SET_ARG2(pspan, "items", offsets[p + 1] - offsets[p]);
+      LoserTree<T, Cmp> tree(std::move(partitions[p]), cmp);
+      tree.drain(out + offsets[p]);
+    });
+  }
+  pool.run_wave_or_throw(merge_tasks);
+  return merge_tasks.size();
+}
+
+inline void record_round(MergeStats& stats, std::size_t active_workers,
+                         std::uint64_t items,
+                         std::chrono::steady_clock::time_point t0) {
+  MergeStats::Round round;
+  round.active_workers = active_workers;
+  round.items_moved = items;
+  round.wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  stats.rounds.push_back(round);
 }
 
 }  // namespace detail
@@ -157,86 +202,75 @@ MergeStats partitioned_merge(ThreadPool& pool,
   pool.run_wave_or_throw(sort_tasks);
 
   // Wave 2: one loser-tree merge per partition into its output window.
-  std::vector<std::uint64_t> offsets(P + 1, 0);
-  for (std::size_t p = 0; p < P; ++p) offsets[p + 1] = offsets[p] + sizes[p];
-
-  std::vector<std::function<void(std::size_t)>> merge_tasks;
-  for (std::size_t p = 0; p < P; ++p) {
-    if (sizes[p] == 0) continue;
-    merge_tasks.push_back([&partitions, &offsets, out, &cmp, p](std::size_t) {
-      SUPMR_TRACE_SCOPE_VAR(pspan, "merge", "merge.partition");
-      SUPMR_TRACE_SET_ARG(pspan, "partition", p);
-      SUPMR_TRACE_SET_ARG2(pspan, "items", offsets[p + 1] - offsets[p]);
-      std::vector<std::span<const T>> runs;
-      runs.reserve(partitions[p].size());
-      for (const auto& stripe : partitions[p])
-        runs.push_back(std::span<const T>(stripe.data(), stripe.size()));
-      LoserTree<T, Cmp> tree(std::move(runs), cmp);
-      tree.drain(out + offsets[p]);
-    });
-  }
-  pool.run_wave_or_throw(merge_tasks);
-
-  MergeStats::Round round;
-  round.active_workers = std::min(merge_tasks.size(), pool.size());
-  round.items_moved = total;
-  round.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  stats.rounds.push_back(round);
+  std::vector<std::vector<std::span<const T>>> runs(P);
+  for (std::size_t p = 0; p < P; ++p)
+    runs[p].assign(partitions[p].begin(), partitions[p].end());
+  const std::size_t merges =
+      detail::merge_partition_windows(pool, runs, sizes, out, cmp);
+  detail::record_round(stats, std::min(merges, pool.size()), total, t0);
   return stats;
 }
 
-// Full sort via map-time-style partitioning: split `data` into one shard per
-// pool thread, bucket each shard by sampled splitters (parallel, lock-free —
-// each shard owns its (shard, partition) bucket), then partitioned_merge the
-// buckets back into `data`. The kernel-level twin of the
-// PartitionedContainer + per-partition merge path inside the runtime.
+// Merges runs that are each already sorted under cmp into `out` by key
+// range, in ONE parallel pass with no re-sort: splitters sampled evenly
+// across all runs (~32 probes per partition) cut every run by binary search
+// — upper_bound, so equal keys stay in one partition, as in partition_of —
+// and each partition's slices are loser-tree merged into its own window.
+// `num_partitions` defaults to the pool size.
 template <typename T, typename Cmp>
-MergeStats partitioned_sort(ThreadPool& pool, std::span<T> data, Cmp cmp,
-                            std::size_t num_partitions = 0) {
+MergeStats partitioned_merge_runs(ThreadPool& pool,
+                                  std::vector<std::span<const T>> runs,
+                                  T* out, Cmp cmp,
+                                  std::size_t num_partitions = 0) {
   MergeStats stats;
-  if (data.size() < 2) {
-    detail::record_partition_stats(
-        stats, std::vector<std::uint64_t>(
-                   std::max<std::size_t>(1, num_partitions), data.size()));
-    return stats;
-  }
+  const auto t0 = std::chrono::steady_clock::now();
   if (num_partitions == 0) num_partitions = pool.size();
+  std::uint64_t total = 0;
+  for (const auto& r : runs) total += r.size();
+
+  std::vector<T> sample;
+  const std::uint64_t step =
+      std::max<std::uint64_t>(1, total / (32 * num_partitions));
+  for (const auto& r : runs) {
+    for (std::size_t i = step / 2; i < r.size(); i += step)
+      sample.push_back(r[i]);
+  }
   const std::vector<T> splitters = select_splitters(
-      std::span<const T>(data.data(), data.size()), num_partitions, cmp);
+      std::span<const T>(sample.data(), sample.size()), num_partitions, cmp);
   const std::size_t P = splitters.size() + 1;
 
-  // Shard-parallel bucketing (the "map-time fill" stage).
-  const std::size_t shards =
-      std::max<std::size_t>(1, std::min(pool.size(), data.size()));
-  const std::size_t per = (data.size() + shards - 1) / shards;
-  // buckets[shard][partition]
-  std::vector<std::vector<std::vector<T>>> buckets(
-      shards, std::vector<std::vector<T>>(P));
-  std::vector<std::function<void(std::size_t)>> bucket_tasks;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t begin = s * per;
-    if (begin >= data.size()) break;
-    const std::size_t end = std::min(begin + per, data.size());
-    bucket_tasks.push_back([&, s, begin, end](std::size_t) {
-      for (std::size_t i = begin; i < end; ++i) {
-        buckets[s][partition_of(splitters, data[i], cmp)].push_back(
-            std::move(data[i]));
+  // Key range q of every run is [upper_bound(s_{q-1}), upper_bound(s_q)).
+  std::vector<std::vector<std::span<const T>>> partitions(P);
+  std::vector<std::uint64_t> sizes(P, 0);
+  for (const auto& r : runs) {
+    std::size_t begin = 0;
+    for (std::size_t q = 0; q < P; ++q) {
+      const std::size_t end =
+          q + 1 < P ? static_cast<std::size_t>(
+                          std::upper_bound(r.begin() + begin, r.end(),
+                                           splitters[q], cmp) -
+                          r.begin())
+                    : r.size();
+      if (end > begin) {
+        const std::size_t p = detail::routed_partition(q, P);
+        partitions[p].push_back(r.subspan(begin, end - begin));
+        sizes[p] += end - begin;
       }
-    });
-  }
-  pool.run_wave_or_throw(bucket_tasks);
-
-  // Regroup bucket spans by partition and merge back into `data`.
-  std::vector<std::vector<std::span<T>>> partitions(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!buckets[s][p].empty())
-        partitions[p].push_back(std::span<T>(buckets[s][p]));
+      begin = end;
     }
   }
-  return partitioned_merge(pool, std::move(partitions), data.data(), cmp);
+  detail::record_partition_stats(stats, sizes);
+  if (total == 0) return stats;
+
+  SUPMR_TRACE_SCOPE_VAR(span, "merge", "merge.partitioned");
+  SUPMR_TRACE_SET_ARG(span, "partitions", P);
+  SUPMR_TRACE_SET_ARG2(span, "items", total);
+  SUPMR_COUNTER_ADD("merge.rounds", 1);
+  SUPMR_COUNTER_ADD("merge.items_moved", total);
+  const std::size_t merges =
+      detail::merge_partition_windows(pool, partitions, sizes, out, cmp);
+  detail::record_round(stats, std::min(merges, pool.size()), total, t0);
+  return stats;
 }
 
 }  // namespace supmr::merge

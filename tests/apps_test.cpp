@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "core/job.hpp"
 #include "core/replay.hpp"
+#include "ingest/adaptive.hpp"
 #include "merge/external_sorter.hpp"
 #include "storage/mem_device.hpp"
 #include "wload/teragen.hpp"
@@ -341,6 +342,107 @@ TEST(TeraSort, SharedPrefixKeysSortInEveryMergeMode) {
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     EXPECT_EQ(app.malformed_records(), 0u);
     expect_terasorted(app, input, cfg);
+  }
+}
+
+// Runs a flat-container TeraSort job over `input` in 100-byte records, with
+// `chunk_bytes` chunks as the map rounds (the adaptive mode gets a fixed
+// chunk-size controller, so its rounds match the other two modes').
+StatusOr<core::JobResult> run_terasort(TeraSortApp& app,
+                                       const std::string& input,
+                                       core::ExecMode exec, MergeMode merge,
+                                       std::uint64_t chunk_bytes) {
+  JobConfig jc = small_config();
+  jc.merge_mode = merge;
+  SingleDeviceSource src(mem(input),
+                         std::make_shared<ingest::FixedFormat>(100),
+                         chunk_bytes);
+  MapReduceJob job(app, src, jc);
+  MemDevice dev(input);
+  ingest::FixedFormat format(100);
+  ingest::FixedChunkController controller(chunk_bytes);
+  if (exec == core::ExecMode::kAdaptive)
+    job.set_adaptive(dev, format, controller);
+  return job.run(exec);
+}
+
+constexpr core::ExecMode kExecModes[] = {core::ExecMode::kOriginal,
+                                         core::ExecMode::kIngestMR,
+                                         core::ExecMode::kAdaptive};
+constexpr MergeMode kMergeModes[] = {MergeMode::kPairwise, MergeMode::kPWay,
+                                     MergeMode::kPartitioned};
+
+// Map forms one sorted run per task and round; merge only merges them. Every
+// merge mode in every exec mode must produce exactly std::stable_sort's
+// order, over rounds with fewer records than mappers (3 records, 4 mappers),
+// rounds that do not divide by the mapper count (13 records), and a last
+// round of one record (1001 = 4 x 250 + 1).
+TEST(TeraSort, MapFormedRunsMatchStableSortInEveryMode) {
+  const auto cfg = tiny_teragen(1001, 21);
+  const std::string input = wload::teragen_to_string(cfg);
+  std::vector<std::string> records;
+  for (std::uint64_t r = 0; r < cfg.num_records; ++r)
+    records.push_back(input.substr(r * cfg.record_bytes, cfg.record_bytes));
+  std::stable_sort(records.begin(), records.end(),
+                   [&](const std::string& a, const std::string& b) {
+                     return std::memcmp(a.data(), b.data(), cfg.key_bytes) < 0;
+                   });
+  std::string expected;
+  for (std::uint64_t r = 0; r < records.size(); ++r) {
+    // Distinct keys, so the order is fully determined.
+    if (r > 0) {
+      ASSERT_LT(std::memcmp(records[r - 1].data(), records[r].data(),
+                            cfg.key_bytes),
+                0);
+    }
+    expected += records[r];
+  }
+
+  std::uint64_t checksum = 0;
+  for (MergeMode merge : kMergeModes) {
+    for (core::ExecMode exec : kExecModes) {
+      for (std::uint64_t chunk_bytes : {300u, 1300u, 25000u}) {
+        SCOPED_TRACE(std::string(core::merge_mode_name(merge)) + " " +
+                     std::string(core::exec_mode_name(exec)) + " chunk " +
+                     std::to_string(chunk_bytes));
+        TeraSortApp app;
+        auto result = run_terasort(app, input, exec, merge, chunk_bytes);
+        ASSERT_TRUE(result.ok()) << result.status().to_string();
+        EXPECT_EQ(result->chunks, (input.size() + chunk_bytes - 1) /
+                                      chunk_bytes);
+        EXPECT_EQ(result->result_count, cfg.num_records);
+        EXPECT_TRUE(std::string_view(app.sorted_data().data(),
+                                     app.sorted_data().size()) == expected);
+        if (checksum == 0) checksum = app.key_checksum();
+        EXPECT_EQ(app.key_checksum(), checksum);
+        if (merge == MergeMode::kPairwise) {
+          EXPECT_GT(result->merge_stats.num_rounds(), 1u);
+        } else {
+          EXPECT_EQ(result->merge_stats.num_rounds(), 1u);
+        }
+      }
+    }
+  }
+  EXPECT_NE(checksum, 0u);
+}
+
+// Keys that share their first 8 bytes, cut into 13-record rounds: equal
+// prefixes now meet across runs formed in different rounds, so the merges
+// themselves (not only the per-task sorts) take the memcmp fallback.
+TEST(TeraSort, SharedPrefixKeysSortAcrossRoundsInEveryMode) {
+  const auto cfg = tiny_teragen(3000, 14);
+  const std::string input = shared_prefix_input(cfg);
+  for (MergeMode merge : kMergeModes) {
+    for (core::ExecMode exec : kExecModes) {
+      SCOPED_TRACE(std::string(core::merge_mode_name(merge)) + " " +
+                   std::string(core::exec_mode_name(exec)));
+      TeraSortApp app;
+      auto result = run_terasort(app, input, exec, merge, 1300);
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+      EXPECT_GT(result->chunks, 200u);
+      EXPECT_EQ(app.malformed_records(), 0u);
+      expect_terasorted(app, input, cfg);
+    }
   }
 }
 

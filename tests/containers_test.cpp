@@ -361,6 +361,39 @@ TEST(ArrayContainer, ConcurrentDisjointWrites) {
   }
 }
 
+TEST(ArrayContainer, RecordsKeepTheirAddressAcrossLaterClaims) {
+  // Callers keep pointers into earlier rounds (TeraSort's key-prefix
+  // entries), so later claims must never move a record. Round sizes vary and
+  // include an empty round. Each 8-byte record holds its own slot number.
+  ArrayContainer c;
+  c.init(sizeof(std::uint64_t));
+  std::vector<const char*> addr;
+  for (const std::uint64_t n :
+       {std::uint64_t{3}, std::uint64_t{0}, std::uint64_t{1000},
+        std::uint64_t{1}, std::uint64_t{0}, std::uint64_t{4096},
+        std::uint64_t{7}}) {
+    const std::uint64_t base = c.claim(n);
+    EXPECT_EQ(base, addr.size());
+    for (std::uint64_t s = base; s < base + n; ++s) {
+      c.write_record(s, std::span<const char>(
+                            reinterpret_cast<const char*>(&s), sizeof(s)));
+      addr.push_back(c.record(s).data());
+    }
+    if (n > 0) {
+      // One claim's slots are contiguous in memory.
+      EXPECT_EQ(c.mutable_record(base + n - 1),
+                c.mutable_record(base) + (n - 1) * sizeof(std::uint64_t));
+    }
+  }
+  ASSERT_EQ(c.size(), addr.size());
+  for (std::uint64_t s = 0; s < c.size(); ++s) {
+    EXPECT_EQ(c.record(s).data(), addr[s]) << s;
+    std::uint64_t stored = 0;
+    std::memcpy(&stored, addr[s], sizeof(stored));
+    EXPECT_EQ(stored, s);
+  }
+}
+
 TEST(ArrayContainer, ResetClears) {
   ArrayContainer c;
   c.init(4);

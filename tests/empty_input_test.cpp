@@ -208,7 +208,7 @@ TEST(EmptyInput, ClusterZeroByteFixedRecords) {
 }
 
 // The flat (non-partitioned) TeraSort container through the kPartitioned
-// merge fallback (partitioned_sort over zero records) stays empty too.
+// merge (partitioned_merge_runs over zero runs) stays empty too.
 TEST(EmptyInput, TeraSortFlatContainerPartitionedMergeFallback) {
   apps::TeraSortApp app;  // partitions = 0: flat ArrayContainer
   ingest::SingleDeviceSource src(

@@ -6,8 +6,8 @@
 // reference, on the exact inputs the benches run.
 //
 // Backends: pairwise, f-way, parallel p-way, loser tree, sample sort,
-// pairwise merge sort, f-way merge sort, partitioned_sort /
-// partitioned_merge (the new per-partition path), and the external sorter
+// pairwise merge sort, f-way merge sort, partitioned_merge /
+// partitioned_merge_runs (the per-partition paths), and the external sorter
 // (flat and per-partition spills) with key sizes 7/8/9 straddling the
 // comparator's 8-byte word boundary.
 //
@@ -130,14 +130,6 @@ std::vector<Backend> all_backends() {
     return data;
   }});
 
-  backends.push_back({"partitioned_sort", [cmp](ThreadPool& pool,
-                                                const std::vector<int>& in) {
-    auto data = in;
-    partitioned_sort(pool, std::span<int>(data.data(), data.size()), cmp,
-                     /*num_partitions=*/5);
-    return data;
-  }});
-
   backends.push_back({"partitioned_merge",
                       [cmp](ThreadPool& pool, const std::vector<int>& in) {
     // The map-time shuffle shape: bucket into (partition, thread) stripes
@@ -158,6 +150,25 @@ std::vector<Backend> all_backends() {
         if (!s.empty()) parts[p].push_back(std::span<int>(s));
     std::vector<int> out(in.size());
     partitioned_merge(pool, std::move(parts), out.data(), cmp);
+    return out;
+  }});
+
+  backends.push_back({"partitioned_merge_runs",
+                      [cmp](ThreadPool& pool, const std::vector<int>& in) {
+    // TeraSort's map-time run shape: uneven sorted runs (some empty), cut
+    // at sampled splitters and merged per partition without a re-sort.
+    auto data = in;
+    std::vector<std::span<const int>> runs;
+    std::size_t begin = 0;
+    for (std::size_t r = 0; begin < data.size() || r < 2; ++r) {
+      const std::size_t end = std::min(data.size(), begin + (r % 4) * 97);
+      std::sort(data.begin() + begin, data.begin() + end, cmp);
+      runs.push_back(std::span<const int>(data.data() + begin, end - begin));
+      begin = end;
+    }
+    std::vector<int> out(in.size());
+    partitioned_merge_runs(pool, std::move(runs), out.data(), cmp,
+                           /*num_partitions=*/5);
     return out;
   }});
 

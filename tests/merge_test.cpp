@@ -221,6 +221,35 @@ TEST(PairwiseMerge, SingleRunNoRounds) {
   EXPECT_EQ(stats.num_rounds(), 0u);
 }
 
+TEST(PairwiseMerge, RunsOutsideTheBufferEndInIt) {
+  // Runs may live anywhere (TeraSort's map-time runs sit in per-round
+  // blocks): the first round only reads them and the result lands in
+  // `buffer`, for any run count including one.
+  ThreadPool pool(3);
+  for (std::size_t num_runs : {1u, 2u, 5u, 8u}) {
+    SCOPED_TRACE(num_runs);
+    std::vector<std::vector<int>> blocks(num_runs);
+    std::vector<std::span<int>> runs;
+    std::vector<int> all;
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      blocks[r] = random_ints(100 + 37 * r, 40 + r, 500);
+      std::sort(blocks[r].begin(), blocks[r].end());
+      runs.push_back(std::span<int>(blocks[r]));
+      all.insert(all.end(), blocks[r].begin(), blocks[r].end());
+    }
+    const std::vector<std::vector<int>> before = blocks;
+    std::vector<int> out(all.size(), -1);
+    MergeStats stats =
+        pairwise_merge(pool, runs, std::span<int>(out), std::less<int>{});
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(out, all);
+    EXPECT_EQ(blocks, before);  // inputs are read, never written
+    std::size_t rounds = 0;
+    while ((std::size_t{1} << rounds) < num_runs) ++rounds;
+    EXPECT_EQ(stats.num_rounds(), rounds);
+  }
+}
+
 // -------------------------------------------------------------- p-way merge
 
 TEST(PwayMerge, SingleRoundFullWidth) {

@@ -18,10 +18,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/word_count.hpp"
@@ -397,13 +399,47 @@ TEST(IngestPipeline, PoolRecyclesOnCopyPathBorrowsOnMmapPath) {
     EXPECT_GT(chunks, 4u);
     if (io == core::IoMode::kRead) {
       EXPECT_EQ(borrowed, 0u);
-      // The producer runs at most one chunk ahead of the consumer, so only
-      // the first few acquires can miss the freelist.
-      EXPECT_GE(pipeline.buffer_pool().reuses(), chunks - 3);
+      // At most kBuffersPerPipeline buffers are ever live, so only that many
+      // acquires can miss the freelist.
+      EXPECT_GE(pipeline.buffer_pool().reuses(),
+                chunks - ingest::ChunkBufferPool::kBuffersPerPipeline);
     } else {
       EXPECT_EQ(borrowed, chunks);
     }
   }
+}
+
+// The miss bound is reached, and not passed, when the producer runs as far
+// ahead as it can: the consumer holds the first chunk until the producer has
+// filled both double-buffer slots and acquired a fourth buffer.
+TEST(IngestPipeline, PoolMissesAtMostBuffersPerPipeline) {
+  constexpr std::uint64_t kBound =
+      ingest::ChunkBufferPool::kBuffersPerPipeline;
+  const std::string data = corpus(128 * 1024, 10);
+  auto dev = std::make_shared<storage::MemDevice>(data, "mem");
+  ingest::SingleDeviceSource src(dev, std::make_shared<ingest::LineFormat>(),
+                                 8 * 1024);
+  ingest::IngestPipeline pipeline(src);
+  const ingest::ChunkBufferPool& pool = pipeline.buffer_pool();
+  std::size_t chunks = 0;
+  bool saturated = false;
+  auto stats = pipeline.run([&](ingest::IngestChunk&) {
+    if (chunks++ == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (pool.misses() < kBound &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      saturated = pool.misses() == kBound;
+    }
+    return Status::Ok();
+  });
+  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+  ASSERT_GT(chunks, 2 * kBound);
+  EXPECT_TRUE(saturated);
+  EXPECT_EQ(pool.misses(), kBound);
+  EXPECT_EQ(pool.reuses(), chunks - kBound);
 }
 
 // End-to-end over a real mapped file: word count via MmapDevice must be

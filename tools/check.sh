@@ -45,6 +45,12 @@
 #               (N worker nodes run concurrently on private pools), then
 #               the checked-in cluster spec through the instrumented
 #               `supmr cluster` CLI — must report "conformance: PASS"
+#   perfbench-smoke — the benchmark end to end (perfbench/README.md): a
+#               1 s terasort run, untraced and traced, must exit 0 with
+#               "correct": true (every job byte-identical to the oracle);
+#               under SUPMR_TEST_MUTATION=pway-comparator it must exit
+#               non-zero; then perfbench_fidelity_test runs in the
+#               benchmark's own build tree (build-check-perfbench)
 #
 # Usage:
 #   tools/check.sh            # all stages
@@ -62,7 +68,7 @@ SUPP="${ROOT}/tools/sanitizers"
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] &&
   STAGES=(plain tsan asan obs-smoke fault-smoke coverage harness harness-asan
-    jobmix-smoke graph-smoke combining-smoke cluster-smoke)
+    jobmix-smoke graph-smoke combining-smoke cluster-smoke perfbench-smoke)
 
 # Branch-point line-coverage floors for the merge-critical layers (the
 # coverage stage fails if a change lets these regress).
@@ -339,8 +345,33 @@ run_stage() {
         { echo "cluster-smoke: checked-in cluster spec is not conformant" >&2
           return 1; }
       ;;
+    perfbench-smoke)
+      # perfbench/run.py builds into $CARGO_TARGET_DIR/perfbench and prints
+      # its result as the last line of stdout.
+      local target="${ROOT}/build-check-perfbench"
+      local out trace
+      for trace in 0 1; do
+        out="$(cd "${ROOT}" && CARGO_TARGET_DIR="${target}" python3 \
+          perfbench/run.py --workload terasort --seconds 1 \
+          --trace "${trace}")" ||
+          { echo "perfbench-smoke: terasort --trace ${trace} failed" >&2
+            return 1; }
+        tail -n1 <<<"${out}" | grep -q '"correct": true' ||
+          { echo "perfbench-smoke: terasort --trace ${trace} not correct" >&2
+            return 1; }
+      done
+      if (cd "${ROOT}" && SUPMR_TEST_MUTATION=pway-comparator \
+        CARGO_TARGET_DIR="${target}" python3 perfbench/run.py \
+        --workload terasort --seconds 1 --trace 0 >/dev/null); then
+        echo "perfbench-smoke: pway-comparator mutation was NOT detected" >&2
+        return 1
+      fi
+      cmake --build "${target}/perfbench" --target perfbench_fidelity_test \
+        -j "${JOBS}"
+      "${target}/perfbench/perfbench_fidelity_test"
+      ;;
     *)
-      echo "unknown stage '${stage}' (want plain, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, or cluster-smoke)" >&2
+      echo "unknown stage '${stage}' (want plain, tsan, asan, obs-smoke, fault-smoke, coverage, harness, harness-asan, jobmix-smoke, graph-smoke, combining-smoke, cluster-smoke, or perfbench-smoke)" >&2
       return 2
       ;;
   esac
