@@ -3,7 +3,10 @@
 
 #include <algorithm>
 
+#include "apps/stripe_runs.hpp"
 #include "common/rng.hpp"
+#include "containers/combiners.hpp"
+#include "containers/hash_container.hpp"
 #include "merge/introsort.hpp"
 #include "merge/loser_tree.hpp"
 #include "merge/partitioned.hpp"
@@ -189,6 +192,40 @@ void BM_PartitionedMergeRuns(benchmark::State& state) {
   state.SetLabel("partitions=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_PartitionedMergeRuns)->Arg(4)->Arg(16);
+
+void BM_StripeRunsFoldMerge(benchmark::State& state) {
+  // Word count's reduce and merge (apps/stripe_runs.hpp): 4 map stripes of
+  // Zipf draws over a 1M-word vocabulary, filled before timing; each
+  // iteration sorts every stripe into a run and fold-merges the runs with
+  // the p-way kernel on 4 threads.
+  constexpr std::size_t kStripes = 4;
+  constexpr std::size_t kVocabulary = 1 << 20;
+  const auto keys = testdata::key_pool(kVocabulary);
+  using Container =
+      containers::HashContainer<containers::SumCombiner<std::uint64_t>>;
+  Container container;
+  container.init(kStripes, /*capacity_hint=*/4096);
+  for (std::size_t s = 0; s < kStripes; ++s) {
+    for (std::size_t i : testdata::zipf_stream(1 << 20, kVocabulary, s + 1))
+      container.emit(s, keys[i], std::uint64_t{1});
+  }
+  ThreadPool pool(4);
+  apps::StripeRuns<Container> runs;
+  std::vector<std::pair<std::string, std::uint64_t>> results;
+  for (auto _ : state) {
+    if (!runs.reduce(pool, container).ok() ||
+        !runs.merge(pool, {core::MergeMode::kPWay, 4}, results, nullptr)
+             .ok()) {
+      state.SkipWithError("thread pool shut down");
+      break;
+    }
+    benchmark::DoNotOptimize(results.data());
+  }
+  state.SetItemsProcessed(state.iterations() * container.raw_entries());
+  state.SetLabel("entries=" + std::to_string(container.raw_entries()) +
+                 " keys=" + std::to_string(results.size()));
+}
+BENCHMARK(BM_StripeRunsFoldMerge)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace supmr::merge

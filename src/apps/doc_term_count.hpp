@@ -3,8 +3,9 @@
 //
 // The multi-file sibling of word count: map tokenizes every file of the
 // coalesced chunk and folds ("<file_id>\t<word>", 1) into the hash
-// container, so the reduce/merge output is the per-document term frequency
-// table. Like the inverted index it REQUIRES intra-file chunking
+// container; reduce and merge are word count's sorted stripe runs and
+// folding merge (apps/stripe_runs.hpp), so their output is the per-document
+// term frequency table. Like the inverted index it REQUIRES intra-file chunking
 // (MultiFileSource): file identity comes from the chunk's FileSpans and
 // must survive coalescing. Canonical lines are "<file_id>\t<word>\t<count>"
 // in composite-key order.
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/stripe_runs.hpp"
 #include "containers/combiners.hpp"
 #include "containers/combining.hpp"
 #include "core/application.hpp"
@@ -55,11 +57,13 @@ class DocTermCountApp final : public core::Application {
     std::uint32_t file_id = 0;
   };
 
+  using Container =
+      containers::SwitchedContainer<containers::SumCombiner<std::uint64_t>>;
+
   std::size_t num_mappers_ = 0;
-  containers::SwitchedContainer<containers::SumCombiner<std::uint64_t>>
-      container_;
+  Container container_;
   std::vector<std::vector<FileTask>> tasks_;
-  std::vector<std::vector<Result>> partitions_;
+  StripeRuns<Container> runs_;
   std::vector<Result> results_;
 };
 

@@ -4,10 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "merge/introsort.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
-
 namespace supmr::apps {
 
 std::uint64_t count_occurrences(std::string_view haystack,
@@ -45,10 +41,10 @@ std::vector<std::span<const char>> split_lines(std::span<const char> text,
 
 void GrepApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
+  container_.reset();  // a reused app must not count the last job again
   container_.init(num_map_threads, /*capacity_hint=*/64);
   lines_per_thread_.assign(num_map_threads, 0);
   results_.clear();
-  partitions_.clear();
 }
 
 Status GrepApp::prepare_round(const ingest::IngestChunk& chunk) {
@@ -79,33 +75,13 @@ void GrepApp::map_task(std::size_t task, std::size_t thread_id) {
   lines_per_thread_[thread_id] += lines;
 }
 
-Status GrepApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  partitions_.assign(num_partitions, {});
-  std::vector<std::function<void(std::size_t)>> tasks;
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    tasks.push_back([this, p, num_partitions](std::size_t) {
-      partitions_[p] = container_.reduce_partition(p, num_partitions);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
-  return Status::Ok();
+Status GrepApp::reduce(ThreadPool& pool, std::size_t) {
+  return runs_.reduce(pool, container_);
 }
 
 Status GrepApp::merge(ThreadPool& pool, const core::MergePlan& plan,
                       merge::MergeStats* stats) {
-  (void)pool;
-  (void)plan;  // a handful of patterns: a single sequential sort suffices
-  results_.clear();
-  for (auto& part : partitions_)
-    results_.insert(results_.end(), part.begin(), part.end());
-  merge::introsort(results_.begin(), results_.end(),
-                   [](const Result& a, const Result& b) {
-                     return a.first < b.first;
-                   });
-  partitions_.clear();
-  if (stats != nullptr) *stats = merge::MergeStats{};
-  return Status::Ok();
+  return runs_.merge(pool, plan, results_, stats);
 }
 
 std::uint64_t GrepApp::lines_scanned() const {
@@ -115,14 +91,7 @@ std::uint64_t GrepApp::lines_scanned() const {
 }
 
 std::string GrepApp::canonical_output() const {
-  std::string out;
-  for (const auto& [pattern, hits] : results_) {
-    out += pattern;
-    out += '\t';
-    out += std::to_string(hits);
-    out += '\n';
-  }
-  return out;
+  return canonical_counts(results_);
 }
 
 }  // namespace supmr::apps

@@ -4,13 +4,15 @@
 // scans each line for every pattern and emits (pattern, occurrences); the
 // intermediate set is tiny (one key per pattern), the opposite extreme from
 // sort. Included as a third application point on the "job phase complexity"
-// spectrum Conclusion 1 describes.
+// spectrum Conclusion 1 describes. Reduce and merge are word count's sorted
+// stripe runs and folding merge (apps/stripe_runs.hpp).
 #pragma once
 
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "apps/stripe_runs.hpp"
 #include "containers/combiners.hpp"
 #include "containers/hash_container.hpp"
 #include "core/application.hpp"
@@ -46,13 +48,15 @@ class GrepApp final : public core::Application {
   std::uint64_t lines_scanned() const;
 
  private:
+  using Container =
+      containers::HashContainer<containers::SumCombiner<std::uint64_t>>;
+
   std::vector<std::string> patterns_;
   std::size_t num_mappers_ = 0;
-  containers::HashContainer<containers::SumCombiner<std::uint64_t>>
-      container_;
+  Container container_;
   std::vector<std::span<const char>> splits_;
   std::vector<std::uint64_t> lines_per_thread_;
-  std::vector<std::vector<Result>> partitions_;
+  StripeRuns<Container> runs_;
   std::vector<Result> results_;
 };
 

@@ -69,6 +69,9 @@ core::CombineStats HistogramApp::combine_stats() const {
 void HistogramApp::init(std::size_t num_map_threads) {
   assert(options_.hi > options_.lo && options_.bins > 0);
   num_mappers_ = num_map_threads;
+  // A reused app must not count the last job again.
+  container_.reset();
+  combining_.reset();
   if (combining())
     combining_.init(num_map_threads, options_.bins);
   else

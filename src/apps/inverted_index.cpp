@@ -11,6 +11,7 @@ namespace supmr::apps {
 
 void InvertedIndexApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
+  container_.reset();  // a reused app must not index the last job again
   container_.init(num_map_threads, /*capacity_hint=*/4096);
   index_.clear();
   partitions_.clear();

@@ -64,6 +64,7 @@ KMeansApp::KMeansApp(KMeansOptions options,
 
 void KMeansApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
+  container_.reset();  // a reused app must not sum the last job's points
   container_.init(num_map_threads, options_.clusters);
   assigned_per_thread_.assign(num_map_threads, 0);
   new_centroids_.clear();

@@ -30,7 +30,7 @@ std::vector<std::span<const char>> split_lines(std::span<const char> text,
 
 void LinearRegressionApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
-  if (per_thread_.empty()) per_thread_.assign(num_map_threads, Stats{});
+  per_thread_.assign(num_map_threads, Stats{});
   totals_ = Stats{};
 }
 

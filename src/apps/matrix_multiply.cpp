@@ -13,6 +13,7 @@ MatrixMultiplyApp::MatrixMultiplyApp(std::vector<double> a, std::size_t n)
 
 void MatrixMultiplyApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
+  container_.reset();  // a reused app must not keep the last job's columns
   container_.init(n_ * sizeof(double));
   frobenius_ = 0.0;
 }

@@ -5,9 +5,6 @@
 #include <functional>
 
 #include "apps/tokenize.hpp"
-#include "merge/introsort.hpp"
-#include "merge/pairwise.hpp"
-#include "merge/pway.hpp"
 
 namespace supmr::apps {
 
@@ -51,9 +48,9 @@ void for_each_pair(std::span<const char> text,
 
 void PairCountApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
+  container_.reset();  // a reused app must not count the last job again
   container_.init(num_map_threads, /*capacity_hint=*/4096);
   results_.clear();
-  partitions_.clear();
 }
 
 Status PairCountApp::prepare_round(const ingest::IngestChunk& chunk) {
@@ -68,78 +65,19 @@ void PairCountApp::map_task(std::size_t task, std::size_t thread_id) {
   });
 }
 
-Status PairCountApp::reduce(ThreadPool& pool, std::size_t num_partitions) {
-  partitions_.assign(num_partitions, {});
-  std::vector<std::function<void(std::size_t)>> tasks;
-  tasks.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    tasks.push_back([this, p, num_partitions](std::size_t) {
-      partitions_[p] = container_.reduce_partition(p, num_partitions);
-    });
-  }
-  if (!pool.run_wave(tasks))
-    return Status::Internal("reduce wave dropped: thread pool shut down");
-  return Status::Ok();
+Status PairCountApp::reduce(ThreadPool& pool, std::size_t) {
+  return runs_.reduce(pool, container_);
 }
 
 Status PairCountApp::merge(ThreadPool& pool, const core::MergePlan& plan,
                            merge::MergeStats* stats) {
-  auto by_key = [](const Result& a, const Result& b) {
-    return a.first < b.first;
-  };
-  std::vector<std::function<void(std::size_t)>> sort_tasks;
-  for (auto& part : partitions_) {
-    sort_tasks.push_back([&part, &by_key](std::size_t) {
-      merge::introsort(part.begin(), part.end(), by_key);
-    });
-  }
-  if (!pool.run_wave(sort_tasks))
-    return Status::Internal("merge sort wave dropped: thread pool shut down");
-
-  std::uint64_t total = 0;
-  for (const auto& part : partitions_) total += part.size();
-  results_.resize(total);
-
-  merge::MergeStats local;
-  if (plan.mode != core::MergeMode::kPairwise) {
-    std::vector<std::span<const Result>> runs;
-    runs.reserve(partitions_.size());
-    for (const auto& part : partitions_)
-      runs.push_back(std::span<const Result>(part.data(), part.size()));
-    const std::size_t p = plan.mode == core::MergeMode::kPartitioned
-                              ? plan.partitions
-                              : 0;
-    local = merge::parallel_pway_merge(pool, std::move(runs),
-                                       results_.data(), by_key, p);
-  } else {
-    std::vector<std::span<Result>> runs;
-    std::size_t offset = 0;
-    for (auto& part : partitions_) {
-      std::copy(part.begin(), part.end(), results_.begin() + offset);
-      runs.push_back(std::span<Result>(results_.data() + offset, part.size()));
-      offset += part.size();
-    }
-    local = merge::pairwise_merge(
-        pool, std::move(runs),
-        std::span<Result>(results_.data(), results_.size()), by_key);
-  }
-  partitions_.clear();
-  if (stats != nullptr) *stats = std::move(local);
-  return Status::Ok();
+  return runs_.merge(pool, plan, results_, stats);
 }
 
 std::string PairCountApp::canonical_output() const {
-  // Pair keys are unique, so merge order is canonical order. The key
-  // contains a space but never a tab, keeping "key\tcount" parseable by the
-  // downstream PMI join.
-  std::string out;
-  for (const auto& [pair, count] : results_) {
-    out += pair;
-    out += '\t';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
+  // The pair key contains a space but never a tab, keeping "key\tcount"
+  // parseable by the downstream PMI join.
+  return canonical_counts(results_);
 }
 
 }  // namespace supmr::apps

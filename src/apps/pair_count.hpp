@@ -2,7 +2,9 @@
 // chain (docs/graphs.md).
 //
 // Map tokenizes each line and folds every adjacent pair "w1 w2" into the
-// hash container, exactly the word-count shape but with bigram keys. Splits
+// hash container, exactly the word-count shape but with bigram keys; reduce
+// and merge are word count's sorted stripe runs and folding merge
+// (apps/stripe_runs.hpp). Splits
 // are cut at LINE boundaries, not word boundaries: a pair never spans a
 // newline, so cutting between lines keeps the emitted multiset independent
 // of both chunking (LineFormat already guarantees chunk edges sit on
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/stripe_runs.hpp"
 #include "containers/combiners.hpp"
 #include "containers/combining.hpp"
 #include "core/application.hpp"
@@ -53,11 +56,13 @@ class PairCountApp final : public core::Application {
   const std::vector<Result>& results() const { return results_; }
 
  private:
+  using Container =
+      containers::SwitchedContainer<containers::SumCombiner<std::uint64_t>>;
+
   std::size_t num_mappers_ = 0;
-  containers::SwitchedContainer<containers::SumCombiner<std::uint64_t>>
-      container_;
+  Container container_;
   std::vector<std::span<const char>> splits_;
-  std::vector<std::vector<Result>> partitions_;
+  StripeRuns<Container> runs_;
   std::vector<Result> results_;
 };
 

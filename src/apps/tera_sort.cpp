@@ -37,6 +37,7 @@ Status gather(ThreadPool& pool, const merge::KeyPrefixEntry* order,
 void TeraSortApp::init(std::size_t num_map_threads) {
   num_mappers_ = num_map_threads;
   if (partitioned()) {
+    pcontainer_.reset();  // a reused app must not sort the last job again
     pcontainer_.init(options_.record_bytes, options_.key_bytes,
                      options_.partitions, num_map_threads);
   } else {

@@ -2,11 +2,13 @@
 //
 // Map tokenizes text into lowercase words and folds counts into the hash
 // container (combine-on-insert keeps the intermediate set at vocabulary
-// size, not input size). Reduce merges the per-thread stripes by partition;
-// merge sorts the (word, count) pairs by word with the configured merge
-// algorithm. The "more complicated map phase — checking a container before
-// inserting a key" (§VI.B) is exactly the find_or_insert in emit, and is why
-// word count overlaps more compute with ingest than sort does.
+// size, not input size). Reduce sorts each per-thread stripe into a run of
+// key-prefix entries; merge merges those runs with the configured merge
+// algorithm and folds each word's per-stripe counts as they leave it
+// (apps/stripe_runs.hpp). The "more complicated map phase — checking a
+// container before inserting a key" (§VI.B) is exactly the find_or_insert
+// in emit, and is why word count overlaps more compute with ingest than sort
+// does.
 #pragma once
 
 #include <functional>
@@ -16,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/stripe_runs.hpp"
 #include "containers/combiners.hpp"
 #include "containers/combining.hpp"
 #include "core/application.hpp"
@@ -57,12 +60,14 @@ class WordCountApp final : public core::Application {
   std::uint64_t words_mapped() const;
 
  private:
+  using Container =
+      containers::SwitchedContainer<containers::SumCombiner<std::uint64_t>>;
+
   std::size_t num_mappers_ = 0;
-  containers::SwitchedContainer<containers::SumCombiner<std::uint64_t>>
-      container_;
+  Container container_;
   std::vector<std::span<const char>> splits_;
   std::vector<std::uint64_t> words_per_thread_;
-  std::vector<std::vector<Result>> partitions_;
+  StripeRuns<Container> runs_;
   std::vector<Result> results_;
 };
 

@@ -1,8 +1,10 @@
 // Minimal JSON writer.
 //
 // Benches and the CLI export structured results (phase breakdowns, traces)
-// for downstream tooling. Writer-only — the repo never parses JSON — with
-// proper string escaping and locale-independent number formatting.
+// for downstream tooling, with proper string escaping and locale-independent
+// number formatting. This header only writes; the spec readers parse JSON
+// on their own (core/replay.cpp for replay specs, runtime/serve_spec.cpp
+// for serve job lists).
 #pragma once
 
 #include <cstdint>

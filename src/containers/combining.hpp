@@ -20,7 +20,8 @@
 //
 // Same persistence contract as HashContainer: init() is idempotent across
 // ingest rounds, a thread-count change without reset() is a logic_error,
-// and reduce_partition(part, num_parts) is safe to call concurrently for
+// for_each_in_stripe reads one stripe whole, and
+// reduce_partition(part, num_parts) is safe to call concurrently for
 // distinct partitions (hash-stable across growth).
 #pragma once
 
@@ -55,6 +56,7 @@ inline std::uint64_t value_payload_bytes(const std::vector<E>& v) {
 template <typename Combiner>
 class CombiningContainer {
  public:
+  using combiner_type = Combiner;
   using value_type = typename Combiner::value_type;
 
   // Keys at most this long live inside the slot itself. 12 keeps the whole
@@ -108,6 +110,18 @@ class CombiningContainer {
     std::size_t n = 0;
     for (const Stripe& s : stripes_) n += s.size;
     return n;
+  }
+
+  std::size_t stripe_size(std::size_t stripe) const {
+    return stripes_[stripe].size;
+  }
+
+  // Calls fn(key, accumulator) for every entry of one stripe, in slot order.
+  // Inline keys point into their slot, long keys into the stripe's buffer;
+  // both stay valid until the next emit, reset() or destruction.
+  template <typename Fn>
+  void for_each_in_stripe(std::size_t stripe, Fn&& fn) const {
+    stripes_[stripe].for_each(fn);
   }
 
   // Cross-thread merge of partition `part`: Combiner::merge over the
@@ -307,12 +321,13 @@ class CombiningContainer {
 // The emit seam an app with a declared combiner routes through: its default
 // HashContainer and the CombiningContainer side by side, with select()
 // (called by Application::use_container before init) choosing which one the
-// job fills. Everything downstream — reduce_partition's output shape,
-// ordering guarantees — is identical between the two, so an app's reduce and
-// merge code never branches.
+// job fills. Everything downstream — the stripe reads, reduce_partition's
+// output shape, ordering guarantees — is identical between the two, so an
+// app's reduce and merge code never branches.
 template <typename Combiner>
 class SwitchedContainer {
  public:
+  using combiner_type = Combiner;
   using value_type = typename Combiner::value_type;
 
   // Must run before init(); switching a live container would strand emitted
@@ -349,6 +364,23 @@ class SwitchedContainer {
       combining_.emit(thread_id, key, mapped_value);
     else
       hash_.emit(thread_id, key, mapped_value);
+  }
+
+  std::size_t num_stripes() const {
+    return combining() ? combining_.num_stripes() : hash_.num_stripes();
+  }
+
+  std::size_t stripe_size(std::size_t stripe) const {
+    return combining() ? combining_.stripe_size(stripe)
+                       : hash_.stripe_size(stripe);
+  }
+
+  template <typename Fn>
+  void for_each_in_stripe(std::size_t stripe, Fn&& fn) const {
+    if (combining())
+      combining_.for_each_in_stripe(stripe, fn);
+    else
+      hash_.for_each_in_stripe(stripe, fn);
   }
 
   std::vector<std::pair<std::string, value_type>> reduce_partition(

@@ -1,9 +1,10 @@
 // Hash container: Phoenix++'s default intermediate store.
 //
 // One ArenaHashMap per map thread — emission takes no locks (the map thread
-// writes only its own stripe). The reduce phase walks a hash partition
-// across all stripes and merges accumulators, so reducers also proceed
-// without locks (each owns a disjoint partition).
+// writes only its own stripe). After the map phase a stripe is read either
+// whole (for_each_in_stripe: the sorted stripe runs of apps/stripe_runs.hpp)
+// or by hash partition across all stripes (reduce_partition), so reducers
+// also proceed without locks.
 //
 // The container is *persistent* across map rounds (paper §III.C): init()
 // allocates the stripes once; subsequent rounds' mapper waves keep emitting
@@ -32,6 +33,7 @@ namespace supmr::containers {
 template <typename Combiner>
 class HashContainer {
  public:
+  using combiner_type = Combiner;
   using value_type = typename Combiner::value_type;
 
   // Allocates one stripe per map thread. Idempotent: later calls (new map
@@ -83,6 +85,18 @@ class HashContainer {
     std::size_t n = 0;
     for (const auto& s : stripes_) n += s.value.size();
     return n;
+  }
+
+  std::size_t stripe_size(std::size_t stripe) const {
+    return stripes_[stripe].value.size();
+  }
+
+  // Calls fn(key, accumulator) for every entry of one stripe, in slot order.
+  // The key views point into the stripe's arena and stay valid until the
+  // next emit, reset() or destruction.
+  template <typename Fn>
+  void for_each_in_stripe(std::size_t stripe, Fn&& fn) const {
+    stripes_[stripe].value.for_each(fn);
   }
 
   // Reduce-side: merges partition `part` of `num_parts` across all stripes

@@ -122,7 +122,10 @@ class Application {
   // thread_ids).
   virtual void map_task(std::size_t task, std::size_t thread_id) = 0;
 
-  // Coalesces intermediate pairs after all rounds (parallel over partitions).
+  // Coalesces intermediate pairs after all rounds, in parallel: over
+  // `num_partitions` hash or key-range partitions, or, for the apps that
+  // sort and fold their map stripes (apps/stripe_runs.hpp), one task per
+  // stripe.
   virtual Status reduce(ThreadPool& pool, std::size_t num_partitions) = 0;
 
   // Produces the final sorted output with the configured merge algorithm.

@@ -1,5 +1,5 @@
-// Key-prefix sort entries for fixed-width records (AlphaSort, Nyberg et al.,
-// SIGMOD '94).
+// Key-prefix sort entries (AlphaSort, Nyberg et al., SIGMOD '94): for
+// fixed-width records, and for variable-length keys with a folded value.
 //
 // Sorting an index array with a memcmp comparator makes every comparison
 // dereference two random records: two cache misses per compare, and the
@@ -20,6 +20,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
 namespace supmr::merge {
 
@@ -76,6 +77,52 @@ inline void fill_entries(const char* records, std::uint64_t n,
                          KeyPrefixEntry* out) {
   for (std::uint64_t i = 0; i < n; ++i)
     out[i] = make_entry(records + i * record_bytes, key_bytes);
+}
+
+// A key-prefix entry for a variable-length key and the value folded under
+// it: the hash-container apps' stripe runs (apps/stripe_runs.hpp). `key`
+// points at the key bytes wherever the container keeps them.
+template <typename V>
+struct KeyValueEntry {
+  std::uint64_t prefix;  // key_prefix(key, min(8, len))
+  const char* key;
+  std::uint32_t len;
+  V value;
+};
+static_assert(sizeof(KeyValueEntry<std::uint64_t>) == 32,
+              "u64-valued entries must stay 32 bytes");
+
+template <typename V>
+KeyValueEntry<V> make_key_value_entry(std::string_view key, const V& value) {
+  const auto len = static_cast<std::uint32_t>(key.size());
+  return KeyValueEntry<V>{key_prefix(key.data(), len), key.data(), len, value};
+}
+
+// std::string order over the keys: unsigned bytes, the shorter key first
+// when one is a prefix of the other. Equal prefixes mean equal first
+// min(8, len) bytes (zero padding sorts below every byte it could hide), so
+// only the bytes past the eighth and the lengths are left to compare.
+struct KeyValueLess {
+  template <typename V>
+  bool operator()(const KeyValueEntry<V>& a, const KeyValueEntry<V>& b) const {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    const std::uint32_t common = std::min(a.len, b.len);
+    if (common > kKeyPrefixBytes) {
+      const int c = std::memcmp(a.key + kKeyPrefixBytes,
+                                b.key + kKeyPrefixBytes,
+                                common - kKeyPrefixBytes);
+      if (c != 0) return c < 0;
+    }
+    return a.len < b.len;
+  }
+};
+
+template <typename V>
+bool same_key(const KeyValueEntry<V>& a, const KeyValueEntry<V>& b) {
+  return a.prefix == b.prefix && a.len == b.len &&
+         (a.len <= kKeyPrefixBytes ||
+          std::memcmp(a.key + kKeyPrefixBytes, b.key + kKeyPrefixBytes,
+                      a.len - kKeyPrefixBytes) == 0);
 }
 
 }  // namespace supmr::merge

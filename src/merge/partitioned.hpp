@@ -119,11 +119,12 @@ inline void record_partition_stats(MergeStats& stats,
 
 // One loser-tree merge per partition of sorted runs into that partition's
 // disjoint output window (offsets are prefix sums of `sizes` — no
-// synchronization). Returns the number of merge tasks.
-template <typename T, typename Cmp>
+// synchronization): drain(offset, tree) consumes each partition's tree.
+// Returns the number of merge tasks.
+template <typename T, typename Cmp, typename Drain>
 std::size_t merge_partition_windows(
     ThreadPool& pool, std::vector<std::vector<std::span<const T>>>& partitions,
-    const std::vector<std::uint64_t>& sizes, T* out, Cmp& cmp) {
+    const std::vector<std::uint64_t>& sizes, Cmp& cmp, Drain& drain) {
   const std::size_t P = partitions.size();
   std::vector<std::uint64_t> offsets(P + 1, 0);
   for (std::size_t p = 0; p < P; ++p) offsets[p + 1] = offsets[p] + sizes[p];
@@ -131,13 +132,14 @@ std::size_t merge_partition_windows(
   std::vector<std::function<void(std::size_t)>> merge_tasks;
   for (std::size_t p = 0; p < P; ++p) {
     if (sizes[p] == 0) continue;
-    merge_tasks.push_back([&partitions, &offsets, out, &cmp, p](std::size_t) {
-      SUPMR_TRACE_SCOPE_VAR(pspan, "merge", "merge.partition");
-      SUPMR_TRACE_SET_ARG(pspan, "partition", p);
-      SUPMR_TRACE_SET_ARG2(pspan, "items", offsets[p + 1] - offsets[p]);
-      LoserTree<T, Cmp> tree(std::move(partitions[p]), cmp);
-      tree.drain(out + offsets[p]);
-    });
+    merge_tasks.push_back(
+        [&partitions, &offsets, &cmp, &drain, p](std::size_t) {
+          SUPMR_TRACE_SCOPE_VAR(pspan, "merge", "merge.partition");
+          SUPMR_TRACE_SET_ARG(pspan, "partition", p);
+          SUPMR_TRACE_SET_ARG2(pspan, "items", offsets[p + 1] - offsets[p]);
+          LoserTree<T, Cmp> tree(std::move(partitions[p]), cmp);
+          drain(offsets[p], tree);
+        });
   }
   pool.run_wave_or_throw(merge_tasks);
   return merge_tasks.size();
@@ -205,23 +207,27 @@ MergeStats partitioned_merge(ThreadPool& pool,
   std::vector<std::vector<std::span<const T>>> runs(P);
   for (std::size_t p = 0; p < P; ++p)
     runs[p].assign(partitions[p].begin(), partitions[p].end());
+  auto drain = [out](std::uint64_t offset, auto& tree) {
+    tree.drain(out + offset);
+  };
   const std::size_t merges =
-      detail::merge_partition_windows(pool, runs, sizes, out, cmp);
+      detail::merge_partition_windows(pool, runs, sizes, cmp, drain);
   detail::record_round(stats, std::min(merges, pool.size()), total, t0);
   return stats;
 }
 
-// Merges runs that are each already sorted under cmp into `out` by key
-// range, in ONE parallel pass with no re-sort: splitters sampled evenly
-// across all runs (~32 probes per partition) cut every run by binary search
-// — upper_bound, so equal keys stay in one partition, as in partition_of —
-// and each partition's slices are loser-tree merged into its own window.
+// Merges runs that are each already sorted under cmp by key range, in ONE
+// parallel pass with no re-sort: splitters sampled evenly across all runs
+// (~32 probes per partition) cut every run by binary search — upper_bound,
+// so equal keys stay in one partition, as in partition_of — and each
+// partition's slices are loser-tree merged; drain(offset, tree) consumes
+// each partition's tree, `offset` being its window's first output index.
 // `num_partitions` defaults to the pool size.
-template <typename T, typename Cmp>
-MergeStats partitioned_merge_runs(ThreadPool& pool,
-                                  std::vector<std::span<const T>> runs,
-                                  T* out, Cmp cmp,
-                                  std::size_t num_partitions = 0) {
+template <typename T, typename Cmp, typename Drain>
+MergeStats partitioned_merge_runs_with(ThreadPool& pool,
+                                       std::vector<std::span<const T>> runs,
+                                       Cmp cmp, std::size_t num_partitions,
+                                       Drain drain) {
   MergeStats stats;
   const auto t0 = std::chrono::steady_clock::now();
   if (num_partitions == 0) num_partitions = pool.size();
@@ -268,9 +274,21 @@ MergeStats partitioned_merge_runs(ThreadPool& pool,
   SUPMR_COUNTER_ADD("merge.rounds", 1);
   SUPMR_COUNTER_ADD("merge.items_moved", total);
   const std::size_t merges =
-      detail::merge_partition_windows(pool, partitions, sizes, out, cmp);
+      detail::merge_partition_windows(pool, partitions, sizes, cmp, drain);
   detail::record_round(stats, std::min(merges, pool.size()), total, t0);
   return stats;
+}
+
+// partitioned_merge_runs_with, draining every partition into `out` (size >=
+// total elements): the concatenated windows are globally sorted.
+template <typename T, typename Cmp>
+MergeStats partitioned_merge_runs(ThreadPool& pool,
+                                  std::vector<std::span<const T>> runs,
+                                  T* out, Cmp cmp,
+                                  std::size_t num_partitions = 0) {
+  return partitioned_merge_runs_with<T>(
+      pool, std::move(runs), cmp, num_partitions,
+      [out](std::uint64_t offset, auto& tree) { tree.drain(out + offset); });
 }
 
 }  // namespace supmr::merge

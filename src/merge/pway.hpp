@@ -24,12 +24,15 @@
 
 namespace supmr::merge {
 
-// Merges `runs` (each sorted under cmp) into `out` (size >= total elements).
-// `p` defaults to the pool size. Returns single-round stats.
-template <typename T, typename Cmp>
-MergeStats parallel_pway_merge(ThreadPool& pool,
-                               std::vector<std::span<const T>> runs, T* out,
-                               Cmp cmp, std::size_t p = 0) {
+// Merges `runs` (each sorted under cmp) in p disjoint output windows: worker
+// w calls drain(offset, tree) once, where `offset` is the window's first
+// output index and `tree` a loser tree over the worker's slices. Equal keys
+// always fall in one window (every run is cut at lower_bound of the same
+// splitter). `p` defaults to the pool size. Returns single-round stats.
+template <typename T, typename Cmp, typename Drain>
+MergeStats parallel_pway_merge_with(ThreadPool& pool,
+                                    std::vector<std::span<const T>> runs,
+                                    Cmp cmp, std::size_t p, Drain drain) {
   MergeStats stats;
   const auto t0 = std::chrono::steady_clock::now();
   if (p == 0) p = pool.size();
@@ -103,10 +106,10 @@ MergeStats parallel_pway_merge(ThreadPool& pool,
       if (mutate_cmp) {
         auto inverted = [&cmp](const T& a, const T& b) { return cmp(b, a); };
         LoserTree<T, decltype(inverted)> tree(std::move(slices), inverted);
-        tree.drain(out + out_offset[w]);
+        drain(out_offset[w], tree);
       } else {
         LoserTree<T, Cmp> tree(std::move(slices), cmp);
-        tree.drain(out + out_offset[w]);
+        drain(out_offset[w], tree);
       }
     });
   }
@@ -120,6 +123,17 @@ MergeStats parallel_pway_merge(ThreadPool& pool,
           .count();
   stats.rounds.push_back(round);
   return stats;
+}
+
+// Merges `runs` (each sorted under cmp) into `out` (size >= total elements).
+// `p` defaults to the pool size. Returns single-round stats.
+template <typename T, typename Cmp>
+MergeStats parallel_pway_merge(ThreadPool& pool,
+                               std::vector<std::span<const T>> runs, T* out,
+                               Cmp cmp, std::size_t p = 0) {
+  return parallel_pway_merge_with<T>(
+      pool, std::move(runs), cmp, p,
+      [out](std::uint64_t offset, auto& tree) { tree.drain(out + offset); });
 }
 
 }  // namespace supmr::merge

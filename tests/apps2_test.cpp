@@ -83,6 +83,30 @@ TEST(KMeans, SingleIterationAssignsAllPoints) {
   EXPECT_EQ(app.new_centroids().size(), 3u);
 }
 
+TEST(KMeans, ReusedAppAveragesTheSecondJobAlone) {
+  wload::PointsConfig cfg;
+  cfg.num_points = 2000;
+  cfg.clusters = 3;
+  std::vector<std::vector<double>> centers;
+  const std::string first = wload::generate_points(cfg, &centers);
+  cfg.seed += 1;
+  const std::string second = wload::generate_points(cfg, nullptr);
+  SingleDeviceSource first_src(mem(first), std::make_shared<LineFormat>(),
+                               16384);
+  SingleDeviceSource second_src(mem(second), std::make_shared<LineFormat>(),
+                                16384);
+
+  KMeansApp reused({.clusters = 3, .dim = 2}, centers);
+  KMeansApp fresh({.clusters = 3, .dim = 2}, centers);
+  core::MapReduceJob first_job(reused, first_src, small_config());
+  ASSERT_TRUE(first_job.run(core::ExecMode::kIngestMR).ok());
+  core::MapReduceJob second_job(reused, second_src, small_config());
+  ASSERT_TRUE(second_job.run(core::ExecMode::kIngestMR).ok());
+  core::MapReduceJob fresh_job(fresh, second_src, small_config());
+  ASSERT_TRUE(fresh_job.run(core::ExecMode::kIngestMR).ok());
+  EXPECT_EQ(reused.new_centroids(), fresh.new_centroids());
+}
+
 TEST(KMeans, RecoversPlantedCenters) {
   wload::PointsConfig cfg;
   cfg.num_points = 6000;
@@ -172,6 +196,17 @@ TEST(LinearRegression, RecoversLine) {
   EXPECT_EQ(app.totals().n, 20000u);
   EXPECT_NEAR(app.slope(), 2.5, 0.01);
   EXPECT_NEAR(app.intercept(), -7.0, 0.5);
+}
+
+TEST(LinearRegression, ReusedAppFitsTheSecondJobAlone) {
+  const std::string data = generate_xy(1000, 2.0, 1.0, 0.0, 6);
+  LinearRegressionApp app;
+  SingleDeviceSource src(mem(data), std::make_shared<LineFormat>(), 4096);
+  for (int job_index = 0; job_index < 2; ++job_index) {
+    core::MapReduceJob job(app, src, small_config());
+    ASSERT_TRUE(job.run(core::ExecMode::kIngestMR).ok());
+    EXPECT_EQ(app.totals().n, 1000u) << "job " << job_index;
+  }
 }
 
 TEST(LinearRegression, NoiseFreeIsExact) {

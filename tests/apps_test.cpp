@@ -6,8 +6,12 @@
 #include <cstring>
 #include <map>
 
+#include "apps/doc_term_count.hpp"
+#include "apps/external_word_count.hpp"
 #include "apps/grep.hpp"
+#include "apps/histogram.hpp"
 #include "apps/inverted_index.hpp"
+#include "apps/pair_count.hpp"
 #include "apps/tera_sort.hpp"
 #include "apps/tokenize.hpp"
 #include "apps/word_count.hpp"
@@ -17,6 +21,7 @@
 #include "ingest/adaptive.hpp"
 #include "merge/external_sorter.hpp"
 #include "storage/mem_device.hpp"
+#include "wload/numeric.hpp"
 #include "wload/teragen.hpp"
 #include "wload/text_corpus.hpp"
 
@@ -590,6 +595,116 @@ TEST(InvertedIndex, DuplicateWordsInOneFileDeduplicated) {
   ASSERT_TRUE(job.run(core::ExecMode::kIngestMR).ok());
   ASSERT_EQ(app.index().size(), 1u);
   EXPECT_EQ(app.index()[0].files, (std::vector<std::uint32_t>{0}));
+}
+
+// ------------------------------------------------------------- app reuse
+
+// One app object run twice through MapReduceJob::run must give the same
+// output both times: init() starts every job from an empty container.
+TEST(AppReuse, WordCountDoesNotCountTheFirstJobAgain) {
+  const std::string text = "a b a\nc a b\n";
+  WordCountApp app;
+  SingleDeviceSource src(mem(text), std::make_shared<LineFormat>(), 0);
+  for (int job_index = 0; job_index < 2; ++job_index) {
+    MapReduceJob job(app, src, small_config());
+    ASSERT_TRUE(job.run(core::ExecMode::kIngestMR).ok());
+    ASSERT_FALSE(app.results().empty());
+    EXPECT_EQ(app.results()[0], (WordCountApp::Result{"a", 3}))
+        << "job " << job_index;
+  }
+}
+
+TEST(AppReuse, EveryConformanceAppGivesTheSameOutputTwice) {
+  wload::TextCorpusConfig text_cfg;
+  text_cfg.total_bytes = 48 * 1024;
+  const std::string text = wload::generate_text(text_cfg);
+  auto files = wload::generate_text_files(text_cfg, 6, 4096);
+  wload::NumericConfig num_cfg;
+  num_cfg.num_values = 5000;
+  const std::string numbers = wload::generate_numeric(num_cfg);
+  const std::string records =
+      wload::teragen_to_string(tiny_teragen(2000, 5));
+
+  auto line_source = [&](const std::string& data) {
+    return std::make_unique<SingleDeviceSource>(
+        mem(data), std::make_shared<LineFormat>(), 8 * 1024);
+  };
+  containers::SpillingHashContainer::Options spill;
+  spill.memory_budget_bytes = 16 * 1024;
+  spill.spill_dir = ::testing::TempDir();
+
+  struct Cell {
+    std::string name;
+    std::function<std::unique_ptr<core::Application>()> make_app;
+    std::function<std::unique_ptr<ingest::IngestSource>()> make_source;
+    core::ContainerMode container = core::ContainerMode::kDefault;
+  };
+  const auto text_source = [&] { return line_source(text); };
+  const auto file_source = [&] {
+    return std::make_unique<MultiFileSource>(files, 2);
+  };
+  std::vector<Cell> cells = {
+      {"wordcount", [] { return std::make_unique<WordCountApp>(); },
+       text_source},
+      {"wordcount", [] { return std::make_unique<WordCountApp>(); },
+       text_source, core::ContainerMode::kCombining},
+      {"xwordcount",
+       [&] { return std::make_unique<ExternalWordCountApp>(spill); },
+       text_source},
+      {"paircount", [] { return std::make_unique<PairCountApp>(); },
+       text_source},
+      {"paircount", [] { return std::make_unique<PairCountApp>(); },
+       text_source, core::ContainerMode::kCombining},
+      {"grep",
+       [] {
+         return std::make_unique<GrepApp>(
+             std::vector<std::string>{"th", "he", "zz"});
+       },
+       text_source},
+      {"histogram", [] { return std::make_unique<HistogramApp>(); },
+       [&] { return line_source(numbers); }},
+      {"histogram", [] { return std::make_unique<HistogramApp>(); },
+       [&] { return line_source(numbers); }, core::ContainerMode::kCombining},
+      {"index", [] { return std::make_unique<InvertedIndexApp>(); },
+       file_source},
+      {"index", [] { return std::make_unique<InvertedIndexApp>(); },
+       file_source, core::ContainerMode::kCombining},
+      {"doctermcount", [] { return std::make_unique<DocTermCountApp>(); },
+       file_source},
+      {"doctermcount", [] { return std::make_unique<DocTermCountApp>(); },
+       file_source, core::ContainerMode::kCombining},
+      {"sort", [] { return std::make_unique<TeraSortApp>(); },
+       [&] {
+         return std::make_unique<SingleDeviceSource>(
+             mem(records), std::make_shared<ingest::CrlfFormat>(), 32 * 100);
+       }},
+      {"sort",
+       [] {
+         TeraSortOptions opt;
+         opt.partitions = 3;
+         return std::make_unique<TeraSortApp>(opt);
+       },
+       [&] {
+         return std::make_unique<SingleDeviceSource>(
+             mem(records), std::make_shared<ingest::CrlfFormat>(), 32 * 100);
+       }},
+  };
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(cell.name + " container=" +
+                 std::string(core::container_mode_name(cell.container)));
+    auto app = cell.make_app();
+    ASSERT_TRUE(app->use_container(cell.container).ok());
+    auto source = cell.make_source();
+    std::vector<std::string> outputs;
+    for (int job_index = 0; job_index < 2; ++job_index) {
+      MapReduceJob job(*app, *source, small_config());
+      auto result = job.run(core::ExecMode::kIngestMR);
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+      outputs.push_back(app->canonical_output());
+    }
+    EXPECT_FALSE(outputs[0].empty());
+    EXPECT_EQ(outputs[1], outputs[0]);
+  }
 }
 
 }  // namespace

@@ -67,6 +67,23 @@ TEST(MatrixMultiply, MatchesNaiveReference) {
   expect_matches_reference(app, ref, n);
 }
 
+TEST(MatrixMultiply, ReusedAppMultipliesTheSecondJobAlone) {
+  constexpr std::size_t n = 16;
+  const auto a = random_matrix(n, 5);
+  const auto b = random_matrix(n, 6);
+  const auto ref = naive_matmul(a, b, n);
+  MatrixMultiplyApp app(a, n);
+  auto dev = std::make_shared<storage::MemDevice>(
+      MatrixMultiplyApp::columns_to_records(b, n), "B");
+  ingest::SingleDeviceSource src(
+      dev, std::make_shared<ingest::FixedFormat>(n * sizeof(double)), 0);
+  for (int job_index = 0; job_index < 2; ++job_index) {
+    core::MapReduceJob job(app, src, small_config());
+    ASSERT_TRUE(job.run(core::ExecMode::kOriginal).ok());
+    expect_matches_reference(app, ref, n);
+  }
+}
+
 TEST(MatrixMultiply, ChunkedEqualsUnchunked) {
   constexpr std::size_t n = 32;
   const auto a = random_matrix(n, 3);
